@@ -273,6 +273,30 @@ class Tape:
 
         return self._record(out, backward)
 
+    def combine_rows(self, x: Tensor, mix: np.ndarray) -> Tensor:
+        """Constant row combinations, summed over the leading axis:
+        out[..., i, :] = sum_j sum_r mix[j, i, r] * x[j, ..., r, :].
+
+        x is [P x ... x R x K] and mix [P x I x R]. With one-hot slices of
+        mix this picks one row per leading index j and adds them up; the
+        adjoint is mix[j].T @ g, so rows picked many times need no scatter-add.
+        """
+        mix = np.asarray(mix, dtype=np.float64)
+        if mix.ndim != 3 or x.ndim < 3 or mix.shape[0] != x.shape[0] \
+                or mix.shape[2] != x.shape[-2]:
+            raise ShapeError(f"combine_rows needs [P x i x r] by [P x ... x r x k], "
+                             f"got {mix.shape} and {x.shape}")
+        total = np.matmul(mix[0], x.data[0])
+        for j in range(1, mix.shape[0]):
+            total += np.matmul(mix[j], x.data[j])
+        out = Tensor(total)
+        per_lead = (slice(None),) + (None,) * (x.ndim - 3)
+
+        def backward(g, adj):
+            _accum(adj, x, np.matmul(np.swapaxes(mix, 1, 2)[per_lead], g))
+
+        return self._record(out, backward)
+
     # -- reductions and nonlinearities --------------------------------------
 
     def mean(self, x: Tensor, axis: int) -> Tensor:
@@ -314,28 +338,38 @@ class Tape:
 
         return self._record(out, backward)
 
-    def cross_entropy(self, probs: Tensor, target: int) -> Tensor:
-        """Negative log-likelihood of `target` under a probability vector.
+    def cross_entropy(self, probs: Tensor, target: int | Sequence[int]) -> Tensor:
+        """Negative log-likelihood of `target` under a probability vector; for
+        a matrix of row distributions and one target per row, the vector of
+        per-row losses.
 
-        Input must already be a distribution; the picked probability is
+        Input must already be distributions; each picked probability is
         clamped at 1e-12 before the log so the loss stays finite.
         """
-        _need_rank(probs, 1, "cross_entropy")
-        total = float(probs.data.sum())
-        if not np.isfinite(probs.data).all() or abs(total - 1.0) > 1e-9:
-            raise ValueError(f"cross_entropy input is not a distribution (sum={total!r})")
-        target = int(target)
-        if not 0 <= target < probs.shape[0]:
-            raise IndexError(f"target {target} out of range for {probs.shape[0]} classes")
-        p = float(probs.data[target])
-        clamped = max(p, 1e-12)
-        out = Tensor(-math.log(clamped))
+        if probs.ndim not in (1, 2):
+            raise ShapeError(f"cross_entropy expects rank-1 or rank-2 input, got {probs.shape}")
+        rows = probs.data.reshape(-1, probs.shape[-1])
+        targets = [int(t) for t in np.reshape(target, -1)]
+        if len(targets) != len(rows):
+            raise ShapeError(f"cross_entropy needs one target per row, got "
+                             f"{len(targets)} for shape {probs.shape}")
+        picked = []
+        for row, target in zip(rows, targets):
+            total = float(row.sum())
+            if not np.isfinite(row).all() or abs(total - 1.0) > 1e-9:
+                raise ValueError(f"cross_entropy input is not a distribution (sum={total!r})")
+            if not 0 <= target < len(row):
+                raise IndexError(f"target {target} out of range for {len(row)} classes")
+            picked.append(float(row[target]))
+        clamped = [max(p, 1e-12) for p in picked]
+        out = Tensor(np.reshape([-math.log(c) for c in clamped], probs.shape[:-1]))
 
         def backward(g, adj):
-            d = np.zeros(probs.shape, dtype=np.float64)
-            if p >= 1e-12:  # below the clamp the loss is locally constant
-                d[target] = -float(g) / clamped
-            _accum(adj, probs, d)
+            d = np.zeros(rows.shape, dtype=np.float64)
+            for i, (t, p, c, gi) in enumerate(zip(targets, picked, clamped, np.reshape(g, -1))):
+                if p >= 1e-12:  # below the clamp the loss is locally constant
+                    d[i, t] = -float(gi) / c
+            _accum(adj, probs, d.reshape(probs.shape))
 
         return self._record(out, backward)
 
@@ -392,21 +426,22 @@ class Tape:
         _need_rank(b, 2, "cosine_matrix")
         if a.shape[1] != b.shape[1]:
             raise ShapeError(f"cosine_matrix needs matching widths, got {a.shape} and {b.shape}")
+        # Unit rows, with zero rows left at zero so that their entries and
+        # gradients are 0; the big output matrix needs no elementwise passes.
         na = np.sqrt((a.data * a.data).sum(axis=1))
         nb = np.sqrt((b.data * b.data).sum(axis=1))
-        denom = na[:, None] * nb[None, :]
-        mask = denom > 0.0
-        safe = np.where(mask, denom, 1.0)
-        c = np.where(mask, (a.data @ b.data.T) / safe, 0.0)
-        out = Tensor(c)
+        inv_a = np.divide(1.0, na, out=np.zeros_like(na), where=na > 0.0)[:, None]
+        inv_b = np.divide(1.0, nb, out=np.zeros_like(nb), where=nb > 0.0)[:, None]
+        ua = a.data * inv_a
+        ub = b.data * inv_b
+        out = Tensor(ua @ ub.T)
 
         def backward(g, adj):
-            gm = np.where(mask, g / safe, 0.0)
-            na2 = np.where(na > 0.0, na * na, 1.0)
-            nb2 = np.where(nb > 0.0, nb * nb, 1.0)
-            gc = np.where(mask, g * c, 0.0)
-            _accum(adj, a, gm @ b.data - a.data * (gc.sum(axis=1) / na2)[:, None])
-            _accum(adj, b, gm.T @ a.data - b.data * (gc.sum(axis=0) / nb2)[:, None])
+            # d(x / |x|) = (dx - u (u . dx)) / |x|
+            dua = g @ ub
+            dub = g.T @ ua
+            _accum(adj, a, (dua - ua * (ua * dua).sum(axis=1, keepdims=True)) * inv_a)
+            _accum(adj, b, (dub - ub * (ub * dub).sum(axis=1, keepdims=True)) * inv_b)
 
         return self._record(out, backward)
 

@@ -208,7 +208,8 @@ def validate_against(params: ModelParams, config: ModelConfig) -> None:
 
 @dataclass
 class EpisodeScores:
-    """Per-query class logits; similarity logits are None when that head is off."""
+    """Per-query class logits, copied off the tape; similarity logits are None
+    when that head is off."""
 
     trm_logits: Tensor
     qc_logits: Tensor | None
@@ -310,32 +311,19 @@ def forward_episode(tape: Tape, episode: Episode, params: ModelParams,
     sup_enriched = [[enriched_pairs[i][1] for i in range(offsets[w], offsets[w + 1])]
                     for w in range(ways)]
     query_pairs = enriched_pairs[offsets[-1]:]
-    class_embeds = [matching.embed_class_supports(tape, group, tuple_sets, params.trm)
-                    for group in sup_enriched]
-    class_codes = ([matching.encode_class_supports(tape, group, tuple_sets, params.qc)
-                    for group in sup_pooled] if use_qc else None)
-
-    scores: list[EpisodeScores] = []
-    tm_losses: list[Tensor] = []
-    qc_losses: list[Tensor] = []
-    for (record, way), (pooled, enriched) in zip(episode.queries, query_pairs):
-        tm = matching.trm_logits(tape, enriched, class_embeds, tuple_sets, params.trm)
-        tm_probs = tape.reshape(
-            tape.softmax_rows(tape.reshape(tm, (1, len(episode.support)))),
-            (len(episode.support),))
-        tm_losses.append(tape.cross_entropy(tm_probs, way))
-        qc = None
-        if use_qc:
-            qc = matching.qc_logits(tape, pooled, class_codes, tuple_sets, params.qc)
-            qc_probs = tape.reshape(
-                tape.softmax_rows(tape.reshape(qc, (1, len(episode.support)))),
-                (len(episode.support),))
-            qc_losses.append(tape.cross_entropy(qc_probs, way))
-        scores.append(EpisodeScores(trm_logits=tm, qc_logits=qc))
-
-    tm_mean = tape.mean(tape.stack(tm_losses), axis=0)
+    targets = [way for _, way in episode.queries]
+    tm = matching.trm_logits(tape, tape.stack([e for _, e in query_pairs]),
+                             sup_enriched, tuple_sets, params.trm)
+    tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
+    qc = qc_mean = None
     if use_qc:
-        qc_mean = tape.mean(tape.stack(qc_losses), axis=0)
-        loss = tape.add(tm_mean, tape.scale(qc_mean, config.qc_weight))
-        return ForwardResult(loss, scores, tm_mean.item(), qc_mean.item())
-    return ForwardResult(tm_mean, scores, tm_mean.item(), 0.0)
+        qc = matching.qc_logits(tape, tape.stack([p for p, _ in query_pairs]),
+                                sup_pooled, tuple_sets, params.qc)
+        qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
+    scores = [EpisodeScores(trm_logits=Tensor(tm.data[q]),
+                            qc_logits=None if qc is None else Tensor(qc.data[q]))
+              for q in range(len(targets))]
+    if qc_mean is None:
+        return ForwardResult(tm_mean, scores, tm_mean.item(), 0.0)
+    loss = tape.add(tm_mean, tape.scale(qc_mean, config.qc_weight))
+    return ForwardResult(loss, scores, tm_mean.item(), qc_mean.item())

@@ -117,8 +117,9 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
                             for w in range(ways)]
         class_embeds = [matching.embed_class_supports(tape, group, tuple_sets, params.trm)
                         for group in enriched_support]
+        class_block = matching.stack_classes(tape, class_embeds, tuple_sets, params.trm)
         for (record, way), (_, enriched) in zip(episode.queries, pairs[offsets[-1]:]):
-            pred, _ = _predict(enriched, class_embeds, tuple_sets, params.trm, tape)
+            pred, _ = _predict(enriched, class_block, tuple_sets, params.trm, tape)
             correct = int(pred == way)
             hits += correct
             total += 1

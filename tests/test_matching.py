@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
-from strm.matching import (enumerate_tuples, init_qc_params, init_trm_params,
+from strm.matching import (embed_class_supports, enumerate_tuples,
+                           init_qc_params, init_trm_params, project_tuples,
                            qc_logits, qc_similarity, select_tuples,
-                           trm_distance, trm_logits, tuple_count, tuple_matrix,
-                           tuple_repr)
+                           stack_classes, trm_distance, trm_logits, tuple_count,
+                           tuple_matrix, tuple_repr)
 
 
 def seed_for(name):
@@ -136,6 +137,22 @@ def test_tuple_matrix_rows_are_tuple_reprs():
     assert mat.shape == (len(tuples), 8)
     for row, t in zip(mat.data, tuples):
         assert np.array_equal(row, np.concatenate([e[i] for i in t]))
+
+
+@pytest.mark.parametrize("omega", [2, 3])
+def test_factorized_projection_matches_tuple_matrix(omega):
+    rng = np.random.default_rng(omega)
+    frames, channels, width = 6, 3, 5
+    tuples = select_tuples(frames, [omega], keep_ratio=0.5, tuple_seed=4)[omega]
+    assert tuples != sorted(tuples)  # a shuffled subsample, not the enumeration
+    clips = [rng.standard_normal((frames, channels)) for _ in range(3)]
+    weight = rng.standard_normal((omega * channels, width))
+    out = project_tuples(Tape(), Tensor(np.concatenate(clips)), frames,
+                         Tensor(weight), tuples)
+    assert out.shape == (3, len(tuples), width)
+    for projected, clip in zip(out.data, clips):
+        expected = tuple_matrix(Tape(), Tensor(clip), tuples).data @ weight
+        assert np.abs(projected - expected).max() <= 1e-12
 
 
 def test_tuple_repr_out_of_range():
@@ -269,6 +286,41 @@ def test_trm_logits_two_way_matches_distances():
     d0 = trm_distance_oracle(query, s0, tuples, params)
     d1 = trm_distance_oracle(query, s1, tuples, params)
     assert np.abs(logits.data - np.array([-d0, -d1])).max() <= 1e-10
+
+
+def test_trm_logits_same_for_clips_embeddings_and_block():
+    rng = np.random.default_rng(15)
+    params = {w: init_trm_params(w, 3, 4, seed_for) for w in (2, 3)}
+    tuples = {w: enumerate_tuples(4, [w]) for w in (2, 3)}
+    classes = [[Tensor(rng.standard_normal((4, 3))) for _ in range(2)] for _ in range(3)]
+    queries = [Tensor(rng.standard_normal((4, 3))) for _ in range(2)]
+    tape = Tape()
+    embeds = [embed_class_supports(tape, group, tuples, params) for group in classes]
+    block = stack_classes(tape, embeds, tuples, params)
+    batched = trm_logits(tape, tape.stack(queries), classes, tuples, params)
+    assert batched.shape == (2, 3)
+    for q, query in enumerate(queries):
+        for supports in (classes, embeds, block):
+            logits = trm_logits(tape, query, supports, tuples, params)
+            assert np.abs(logits.data - batched.data[q]).max() <= 1e-12
+
+
+def test_unequal_class_sizes_rejected():
+    rng = np.random.default_rng(14)
+    trm = {2: init_trm_params(2, 3, 4, seed_for)}
+    qc = {2: init_qc_params(2, 3, 4, seed_for)}
+    tuples = {2: enumerate_tuples(3, [2])}
+    query = Tensor(rng.standard_normal((3, 3)))
+    classes = [[Tensor(rng.standard_normal((3, 3))) for _ in range(n)] for n in (2, 2, 3)]
+    message = r"class 2 has 3 support clips but class 0 has 2"
+    with pytest.raises(ShapeError, match=message):
+        trm_logits(Tape(), query, classes, tuples, trm)
+    with pytest.raises(ShapeError, match=message):
+        qc_logits(Tape(), query, classes, tuples, qc)
+    tape = Tape()
+    embeds = [embed_class_supports(tape, group, tuples, trm) for group in classes]
+    with pytest.raises(ShapeError, match=message):
+        trm_logits(tape, query, embeds, tuples, trm)
 
 
 # -- query-class similarity -----------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
 from strm.episodes import EpisodeSpec, SyntheticSpec, filter_labels, \
     generate_synthetic, sample_episode
-from strm.matching import enumerate_tuples, trm_distance
+from strm.matching import enumerate_tuples, qc_similarity, trm_distance
 from strm.model import (ModelConfig, build_params, enrich_clip, forward_episode,
                         infer_config, params_from_arrays)
 from strm.training import (CheckpointFormatError, TrainConfig, evaluate,
@@ -104,6 +104,31 @@ def test_all_toggles_off_is_bare_tuple_matcher():
             expected.append(-trm_distance(tape, query, sup, tuples,
                                           params.trm).item())
         assert np.abs(scores.trm_logits.data - np.array(expected)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("omegas,keep_ratio", [((2,), 1.0), ((2, 3), 1.0), ((2,), 0.2)])
+def test_episode_logits_match_per_class_matching(omegas, keep_ratio):
+    """All queries scored against all classes in one pass equal the per-class
+    distances and similarities of each query on its own."""
+    ds = tiny_dataset(num_classes=3, clips=4)
+    episode = sample_episode(ds, EpisodeSpec(ways=3, shots=2, queries_per_class=2,
+                                             seed=5), 0)
+    cfg = ModelConfig(omegas=omegas, tuple_keep_ratio=keep_ratio, tuple_seed=2,
+                      seed=0, **TINY)
+    params = build_params(cfg)
+    res = forward_episode(Tape(), episode, params, cfg)
+    tuples = cfg.tuple_sets()
+    tape = Tape()
+    support = [[enrich_clip(tape, c.features.values, params, cfg) for c in way_clips]
+               for way_clips in episode.support]
+    for scores, (record, _) in zip(res.scores, episode.queries):
+        pooled, enriched = enrich_clip(tape, record.features.values, params, cfg)
+        tm = [-trm_distance(tape, enriched, [e for _, e in pairs], tuples,
+                            params.trm).item() for pairs in support]
+        qc = [qc_similarity(tape, pooled, [p for p, _ in pairs], tuples,
+                            params.qc).item() for pairs in support]
+        assert np.abs(scores.trm_logits.data - np.array(tm)).max() <= 1e-10
+        assert np.abs(scores.qc_logits.data - np.array(qc)).max() <= 1e-10
 
 
 def test_loss_affine_in_qc_weight():
