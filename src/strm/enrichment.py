@@ -100,6 +100,30 @@ def init_fle_params(frames: int, channels: int, seed_for) -> FLEParams:
     )
 
 
+def _ple_core(tape: Tape, frames: Tensor, params: PLEParams) -> tuple[Tensor, Tensor]:
+    """Shared body of patch enrichment over [n x patches x channels] frames.
+
+    Returns the attended rows [n x patches x channels] and the refiner's
+    second hidden layer [n * patches x hidden]; the linear last refiner layer
+    is left to the caller. Attention scores (x Wq)(x Wk)^T / sqrt(D) are
+    x (x M)^T with M = Wk Wq^T / sqrt(D): folding the query-key product into
+    one D x D matrix replaces the query projection of every patch row with a
+    single D^3 product.
+    """
+    n, n_patches, channels = frames.shape
+    flat = tape.reshape(frames, (n * n_patches, channels))
+    fold = tape.scale(tape.matmul(params.key_proj.value,
+                                  tape.transpose(params.query_proj.value)),
+                      1.0 / math.sqrt(channels))
+    k = tape.reshape(tape.matmul(flat, fold), frames.shape)
+    v = tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)
+    scores = tape.bmm(frames, tape.transpose_last2(k))
+    attended = tape.add(tape.bmm(tape.softmax_last(scores), v), frames)
+    flat_att = tape.reshape(attended, (n * n_patches, channels))
+    hidden = tape.relu(tape.matmul(flat_att, params.refine1.value))
+    return attended, tape.relu(tape.matmul(hidden, params.refine2.value))
+
+
 def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
     """Spatially enrich one frame's patch rows.
 
@@ -112,48 +136,38 @@ def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
         raise ShapeError(
             f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
         )
-    channels = params.channels
-    q = tape.matmul(patches, params.query_proj.value)
-    k = tape.matmul(patches, params.key_proj.value)
-    v = tape.matmul(patches, params.value_proj.value)
-    scores = tape.scale(tape.matmul(q, tape.transpose(k)), 1.0 / math.sqrt(channels))
-    attended = tape.add(tape.matmul(tape.softmax_rows(scores), v), patches)
-    hidden = tape.relu(tape.matmul(attended, params.refine1.value))
-    hidden = tape.relu(tape.matmul(hidden, params.refine2.value))
-    refined = tape.matmul(hidden, params.refine3.value)
-    return tape.add(refined, attended)
+    attended, hidden = _ple_core(tape, tape.reshape(patches, (1,) + patches.shape), params)
+    return tape.add(tape.matmul(hidden, params.refine3.value),
+                    tape.reshape(attended, patches.shape))
 
 
 def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
-    """Patch enrichment for a stack of frames at once.
-
-    Same computation as ple_forward applied to every [patches x channels]
-    slice of a [frames x patches x channels] block; attention never crosses
+    """Patch-enriched frame features: ple_forward applied to every
+    [patches x channels] slice of a [n x patches x channels] block, then
+    averaged over patches, giving [n x channels]. Attention never crosses
     frame boundaries.
+
+    The last refiner layer is linear without bias, so it is applied after
+    the patch average: mean(h W3 + a) = mean(h) W3 + mean(a).
     """
     if frames.ndim != 3 or frames.shape[2] != params.channels:
         raise ShapeError(
             f"ple_forward_batch needs [n x patches x {params.channels}], "
             f"got {frames.shape}")
-    n, n_patches, channels = frames.shape
-    flat = tape.reshape(frames, (n * n_patches, channels))
-    q = tape.reshape(tape.matmul(flat, params.query_proj.value), frames.shape)
-    k = tape.reshape(tape.matmul(flat, params.key_proj.value), frames.shape)
-    v = tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)
-    scores = tape.scale(tape.bmm(q, tape.transpose_last2(k)), 1.0 / math.sqrt(channels))
-    attended = tape.add(tape.bmm(tape.softmax_last(scores), v), frames)
-    flat_att = tape.reshape(attended, (n * n_patches, channels))
-    hidden = tape.relu(tape.matmul(flat_att, params.refine1.value))
-    hidden = tape.relu(tape.matmul(hidden, params.refine2.value))
-    refined = tape.reshape(tape.matmul(hidden, params.refine3.value), frames.shape)
-    return tape.add(refined, attended)
+    n, n_patches, _ = frames.shape
+    attended, hidden = _ple_core(tape, frames, params)
+    pooled_hidden = tape.mean(tape.reshape(hidden, (n, n_patches, hidden.shape[1])), axis=1)
+    return tape.add(tape.matmul(pooled_hidden, params.refine3.value),
+                    tape.mean(attended, axis=1))
 
 
 def fle_forward_batch(tape: Tape, clips: Tensor, params: FLEParams) -> Tensor:
-    """Frame enrichment for a stack of clips at once.
+    """Temporally enrich the pooled frame features of a stack of clips.
 
-    Same computation as fle_forward applied to every [frames x channels]
-    slice of a [clips x frames x channels] block.
+    Per [frames x channels] clip, first mixes across the frame axis (weights
+    shared over channels), then across channels (weights shared over
+    frames), each with a ReLU branch and a residual. Shape [clips x frames x
+    channels] is preserved.
     """
     if clips.ndim != 3 or clips.shape[1:] != (params.frames, params.channels):
         raise ShapeError(
@@ -190,28 +204,10 @@ def pool_frames(tape: Tape, frame_features: list[Tensor]) -> Tensor:
 
 
 def fle_forward(tape: Tape, frames: Tensor, params: FLEParams) -> Tensor:
-    """Temporally enrich pooled frame features.
-
-    First mixes across the frame axis (weights shared over channels), then
-    across channels (weights shared over frames), each with a ReLU branch
-    and a residual. Shape [frames x channels] is preserved.
-    """
-    if frames.ndim != 2 or frames.shape != (params.frames, params.channels):
-        raise ShapeError(
-            f"fle_forward needs [{params.frames} x {params.channels}], got {frames.shape}"
-        )
-    flipped = tape.transpose(frames)  # channels x frames
-    mixed = tape.add(
-        tape.matmul(tape.relu(tape.matmul(flipped, params.token_mix1.value)),
-                    params.token_mix2.value),
-        flipped,
-    )
-    unflipped = tape.transpose(mixed)  # frames x channels
-    return tape.add(
-        tape.matmul(tape.relu(tape.matmul(unflipped, params.channel_mix1.value)),
-                    params.channel_mix2.value),
-        unflipped,
-    )
+    """Temporally enrich one clip's pooled frame features [frames x channels]:
+    fle_forward_batch on a block of one clip."""
+    return tape.reshape(fle_forward_batch(tape, tape.reshape(frames, (1,) + frames.shape),
+                                          params), frames.shape)
 
 
 def ple_patch_diagnostics(patches: np.ndarray, params: PLEParams | None):

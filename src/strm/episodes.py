@@ -24,6 +24,7 @@ __all__ = [
     "VersionMismatchError",
     "TruncatedPayloadError",
     "ExtentOverflowError",
+    "NonFiniteClipError",
     "InsufficientClipsError",
     "FeatureClip",
     "ClipRecord",
@@ -64,6 +65,10 @@ class TruncatedPayloadError(ClipFormatError):
 
 class ExtentOverflowError(ClipFormatError):
     pass
+
+
+class NonFiniteClipError(ClipFormatError):
+    """A clip payload holds a NaN or an infinity."""
 
 
 class InsufficientClipsError(ValueError):
@@ -224,6 +229,13 @@ def load_clip(path: str | Path) -> ClipRecord:
     if len(raw) > expected:
         raise TruncatedPayloadError(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw, dtype="<f4", count=count, offset=_HEADER.size)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        frame, patch, channel = np.unravel_index(first, (frames, patches, channels))
+        raise NonFiniteClipError(
+            f"{path}: non-finite value {values[first]} at frame {frame}, "
+            f"patch {patch}, channel {channel}")
     values = values.astype(np.float64).reshape(frames, patches, channels)
     return ClipRecord(clip_id=path.stem, label=label,
                       features=FeatureClip(Tensor(values)))

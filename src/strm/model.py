@@ -266,8 +266,9 @@ def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
     frames = config.frames
     block = Tensor(np.concatenate([v.data for v in clips], axis=0))
     if params.ple is not None:
-        block = enrichment.ple_forward_batch(tape, block, params.ple)
-    pooled_all = tape.mean(block, axis=1)  # (n * frames) x channels
+        pooled_all = enrichment.ple_forward_batch(tape, block, params.ple)
+    else:
+        pooled_all = tape.mean(block, axis=1)  # (n * frames) x channels
     if params.fle is not None:
         enriched_3d = enrichment.fle_forward_batch(
             tape, tape.reshape(pooled_all, (n, frames, config.channels)), params.fle)

@@ -288,6 +288,13 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         raise CheckpointFormatError(f"{path}: truncated at byte {offset}") from exc
     if offset != len(raw):
         raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    for name, values in arrays.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise CheckpointFormatError(
+                f"{path}: parameter {name} holds non-finite value "
+                f"{values.reshape(-1)[first]} at flat index {first}")
     return arrays
 
 

@@ -140,12 +140,32 @@ def test_batched_paths_match_single():
     batched = ple_forward_batch(Tape(), Tensor(frames), ple)
     for i in range(6):
         single = ple_forward(Tape(), Tensor(frames[i]), ple)
-        assert np.abs(batched.data[i] - single.data).max() <= 1e-12
+        assert np.abs(batched.data[i] - single.data.mean(axis=0)).max() <= 1e-12
+        assert np.abs(batched.data[i] - ple_oracle(frames[i], ple).mean(axis=0)).max() <= 1e-12
     clips = rng.standard_normal((4, 3, 4))
     fbatched = fle_forward_batch(Tape(), Tensor(clips), fle)
     for i in range(4):
         single = fle_forward(Tape(), Tensor(clips[i]), fle)
         assert np.abs(fbatched.data[i] - single.data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("frames,patches,channels,hidden", [(5, 1, 4, 3), (2, 3, 9, 4)])
+def test_pooled_ple_matches_oracle_mean(frames, patches, channels, hidden):
+    """One patch per frame, and more channels than patch rows in the block,
+    where the folded score product is the costlier form."""
+    rng = np.random.default_rng([frames, patches, channels])
+    ple = init_ple_params(channels, hidden, lambda n: [channels, sum(n.encode())])
+    x = rng.standard_normal((frames, patches, channels))
+    pooled = ple_forward_batch(Tape(), Tensor(x), ple)
+    assert pooled.shape == (frames, channels)
+    expected = np.stack([ple_oracle(x[i], ple).mean(axis=0) for i in range(frames)])
+    assert np.abs(pooled.data - expected).max() <= 1e-12
+
+
+def test_pooled_ple_zero_params_is_patch_mean():
+    x = np.random.default_rng(16).standard_normal((3, 4, 6))
+    out = ple_forward_batch(Tape(), Tensor(x), zero_ple(6, 5))
+    assert np.abs(out.data - x.mean(axis=1)).max() <= 1e-12
 
 
 # -- pooling -------------------------------------------------------------------
@@ -200,10 +220,10 @@ def test_ple_is_frame_local():
     clip2[2] += 10.0  # perturb a different frame
     out_after = ple_forward(Tape(), Tensor(clip2[1]), params)
     assert np.array_equal(out_before.data, out_after.data)
-    batched = ple_forward_batch(Tape(), Tensor(clip), params)
-    batched2 = ple_forward_batch(Tape(), Tensor(clip2), params)
-    assert np.array_equal(batched.data[1], batched2.data[1])
-    assert not np.allclose(batched.data[2], batched2.data[2])
+    pooled = ple_forward_batch(Tape(), Tensor(clip), params)
+    pooled2 = ple_forward_batch(Tape(), Tensor(clip2), params)
+    assert np.array_equal(pooled.data[1], pooled2.data[1])
+    assert not np.allclose(pooled.data[2], pooled2.data[2])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -233,8 +253,7 @@ def test_enrichment_gradients_match_finite_differences():
     x = rng.standard_normal((4, 2, 3))
 
     def build(tape):
-        enriched = ple_forward_batch(tape, Tensor(x), ple)
-        pooled = tape.mean(enriched, axis=1)
+        pooled = ple_forward_batch(tape, Tensor(x), ple)
         out = fle_forward(tape, pooled, fle)
         return tape.l2_norm(tape.reshape(out, (out.size,)))
 

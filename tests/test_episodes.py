@@ -7,7 +7,7 @@ import pytest
 from strm.diffcore import Tensor
 from strm.episodes import (BadMagicError, ClipRecord, Dataset, Episode,
                            EpisodeSpec, ExtentOverflowError, FeatureClip,
-                           InsufficientClipsError, SyntheticSpec,
+                           InsufficientClipsError, NonFiniteClipError, SyntheticSpec,
                            TruncatedPayloadError, VersionMismatchError,
                            class_prototype_sequence, generate_synthetic,
                            load_clip, load_dataset, sample_episode, save_clip,
@@ -99,6 +99,18 @@ def test_extent_overflow(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ExtentOverflowError):
         load_clip(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_payload_names_file_and_element(tmp_path, bad):
+    record = make_clip(frames=4, patches=2, channels=3)
+    record.features.values.data[2, 1, 0] = bad
+    record.features.values.data[3, 0, 2] = np.nan
+    path = tmp_path / "nan.stfb"
+    save_clip(record, path)
+    with pytest.raises(NonFiniteClipError, match="frame 2, patch 1, channel 0") as info:
+        load_clip(path)
+    assert str(path) in str(info.value)
 
 
 def test_manifest_roundtrip(tmp_path):

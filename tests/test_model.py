@@ -4,7 +4,7 @@ and batched-vs-single enrichment equivalence."""
 import numpy as np
 import pytest
 
-from strm.diffcore import Tape
+from strm.diffcore import Tape, finite_diff_gradients, zero_grads
 from strm.episodes import EpisodeSpec, SyntheticSpec, generate_synthetic, sample_episode
 from strm.model import (ModelConfig, build_params, enrich_clip, enrich_clips,
                         forward_episode, params_from_arrays, validate_against)
@@ -79,6 +79,33 @@ def test_enrich_clips_matches_enrich_clip():
         pooled, enriched = enrich_clip(Tape(), v, params, cfg)
         assert np.abs(pooled.data - pooled_b.data).max() <= 1e-12
         assert np.abs(enriched.data - enriched_b.data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("use_ple", [True, False])
+def test_enrich_clips_gradients_match_finite_differences(use_ple):
+    ds = generate_synthetic(SyntheticSpec(num_classes=2, clips_per_class=2,
+                                          frames=3, patches=2, channels=3, seed=5))
+    cfg = ModelConfig(frames=3, patches=2, channels=3, refine_hidden=2, embed_dim=2,
+                      code_dim=2, use_ple=use_ple, seed=2)
+    params = build_params(cfg)
+    plist = [p for p in params.all() if p.name.startswith(("ple.", "fle."))]
+    assert any(p.name.startswith("ple.") for p in plist) == use_ple
+    values = [c.features.values for c in ds.clips[:3]]
+
+    def build(tape):
+        pairs = enrich_clips(tape, values, params, cfg)
+        rows = tape.concat([t for pair in pairs for t in pair], axis=0)
+        return tape.l2_norm(tape.reshape(rows, (rows.size,)))
+
+    zero_grads(plist)
+    tape = Tape()
+    tape.backward(build(tape), plist)
+    analytic = {p.name: p.grad.copy() for p in plist}
+    numeric = finite_diff_gradients(lambda: build(Tape()).item(), plist, step=1e-5)
+    for p in plist:
+        a, f = analytic[p.name], numeric[p.name]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
+        assert np.max(np.abs(a - f) / denom) <= 1e-5, p.name
 
 
 def test_forward_episode_scores_shape():

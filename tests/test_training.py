@@ -363,6 +363,18 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(tmp_path / "magic.stck")
 
 
+def test_checkpoint_nonfinite_value_names_parameter_and_index(tmp_path):
+    cfg = ModelConfig(seed=0, **TINY)
+    params = build_params(cfg)
+    params.by_name()["fle.channel_mix1"].value.data[1, 2] = np.inf
+    path = tmp_path / "inf.stck"
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointFormatError,
+                       match=r"fle\.channel_mix1 .* flat index 10\b") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def test_infer_config_from_params():
     cfg = ModelConfig(seed=1, omegas=(2, 3), **TINY)
     params = build_params(cfg)
