@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .diffcore import (NumericalError, Param, ShapeError, Tape, Tensor,
                        finite_diff_gradients, seeded_init, zero_grads)
-from .enrichment import (FLEParams, PLEParams, fle_forward, ple_forward,
-                         pool_frames)
+from .enrichment import FLEParams, PLEParams, fle_forward, ple_forward
 from .episodes import (ClipRecord, Dataset, Episode, EpisodeSpec, FeatureClip,
                        SyntheticSpec, generate_synthetic, load_clip,
                        load_dataset, sample_episode, save_clip)
@@ -28,7 +27,7 @@ __all__ = [
     "__version__",
     "NumericalError", "Param", "ShapeError", "Tape", "Tensor",
     "finite_diff_gradients", "seeded_init", "zero_grads",
-    "FLEParams", "PLEParams", "fle_forward", "ple_forward", "pool_frames",
+    "FLEParams", "PLEParams", "fle_forward", "ple_forward",
     "ClipRecord", "Dataset", "Episode", "EpisodeSpec", "FeatureClip",
     "SyntheticSpec", "generate_synthetic", "load_clip", "load_dataset",
     "sample_episode", "save_clip",

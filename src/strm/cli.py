@@ -29,7 +29,7 @@ from .model import (ModelConfig, build_params, infer_config, params_from_arrays,
                     validate_against)
 from .training import (CheckpointFormatError, TrainConfig, evaluate,
                        gradcheck_model, format_metrics, load_checkpoint,
-                       run_ablation, save_checkpoint, train)
+                       run_ablation, save_checkpoint, train, write_atomic)
 from .episodes import sample_episode
 
 EXIT_OK = 0
@@ -55,8 +55,8 @@ def _write_run_manifest(outdir: Path, command: str, args: argparse.Namespace,
         "resolved": resolved,
         "outputs": outputs,
     }
-    (outdir / "run_manifest.json").write_text(
-        json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8")
+    write_atomic(outdir / "run_manifest.json",
+                 (json.dumps(payload, indent=2, default=str) + "\n").encode("utf-8"))
 
 
 def _parse_omegas(text: str) -> tuple[int, ...]:
@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
     params, metrics = train(dataset, config, train_config, spec,
                             eval_dataset=eval_dataset, progress=progress)
     save_checkpoint(params, outdir / "checkpoint.stck")
-    (outdir / "metrics.tsv").write_text(format_metrics(metrics), encoding="utf-8")
+    write_atomic(outdir / "metrics.tsv", format_metrics(metrics).encode("utf-8"))
     print(f"checkpoint: {outdir / 'checkpoint.stck'}")
     return EXIT_OK
 

@@ -3,11 +3,13 @@
 Deliberately small and deterministic: every operation appends its adjoint to
 a Tape, so gradients are obtained by replaying the tape in reverse, and a
 central finite-difference oracle is provided to verify them independently.
-All arithmetic is 64-bit and CPU-only.
+All arithmetic is 64-bit and CPU-only. Importing the module sets the
+process's glibc heap policy once (see _set_heap_policy).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -23,6 +25,37 @@ __all__ = [
     "seeded_init",
     "finite_diff_gradients",
 ]
+
+
+# glibc's mallopt parameter numbers, from malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_heap_policy() -> bool:
+    """Keep the memory freed at the end of an episode for the next one.
+
+    Every episode allocates and frees the same arrays, up to tens of MB. With
+    glibc's defaults the heap top is trimmed back to the kernel once 128 KiB
+    of it is free, and large arrays get their own mappings that are unmapped
+    on free, so each episode page-faults its working set in again. A 256 MiB
+    trim threshold and a 32 MiB mmap threshold (glibc's 64-bit maximum)
+    keep that memory in the process, which may then hold up to 256 MiB of
+    freed heap. Returns whether both settings took effect; without glibc's
+    mallopt this changes nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    trim = mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mmap = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    return trim == 1 and mmap == 1
+
+
+HEAP_POLICY_SET = _set_heap_policy()
 
 
 class ShapeError(ValueError):
@@ -319,10 +352,6 @@ class Tape:
 
         return self._record(out, backward)
 
-    def softmax_rows(self, x: Tensor) -> Tensor:
-        _need_rank(x, 2, "softmax_rows")
-        return self.softmax_last(x)
-
     def softmax_last(self, x: Tensor) -> Tensor:
         """Stabilized softmax over the last axis (max subtraction per slice)."""
         if x.ndim < 1:
@@ -373,16 +402,6 @@ class Tape:
 
         return self._record(out, backward)
 
-    def l2_norm(self, x: Tensor) -> Tensor:
-        n = float(np.sqrt((x.data * x.data).sum()))
-        out = Tensor(n)
-
-        def backward(g, adj):
-            if n > 0.0:
-                _accum(adj, x, x.data * (float(g) / n))
-
-        return self._record(out, backward)
-
     def rows_l2norm(self, x: Tensor) -> Tensor:
         """Euclidean norm of each row of a matrix."""
         _need_rank(x, 2, "rows_l2norm")
@@ -392,27 +411,6 @@ class Tape:
         def backward(g, adj):
             safe = np.where(norms > 0.0, norms, 1.0)
             _accum(adj, x, x.data * (g / safe)[:, None])
-
-        return self._record(out, backward)
-
-    def cosine(self, a: Tensor, b: Tensor) -> Tensor:
-        """Cosine similarity of two vectors; zero if either has zero norm."""
-        _need_rank(a, 1, "cosine")
-        _need_rank(b, 1, "cosine")
-        if a.shape != b.shape:
-            raise ShapeError(f"cosine needs matching lengths, got {a.shape} and {b.shape}")
-        na = float(np.sqrt((a.data * a.data).sum()))
-        nb = float(np.sqrt((b.data * b.data).sum()))
-        if na == 0.0 or nb == 0.0:
-            out = Tensor(0.0)
-            return self._record(out, lambda g, adj: None)
-        c = float(a.data @ b.data) / (na * nb)
-        out = Tensor(c)
-
-        def backward(g, adj):
-            gf = float(g)
-            _accum(adj, a, gf * (b.data / (na * nb) - c * a.data / (na * na)))
-            _accum(adj, b, gf * (a.data / (na * nb) - c * b.data / (nb * nb)))
 
         return self._record(out, backward)
 
@@ -442,20 +440,6 @@ class Tape:
             dub = g.T @ ua
             _accum(adj, a, (dua - ua * (ua * dua).sum(axis=1, keepdims=True)) * inv_a)
             _accum(adj, b, (dub - ub * (ub * dub).sum(axis=1, keepdims=True)) * inv_b)
-
-        return self._record(out, backward)
-
-    def max_reduce(self, x: Tensor) -> Tensor:
-        """Maximum over all elements; gradient routed to the first argmax."""
-        if x.ndim == 0:
-            raise ShapeError("max_reduce needs at least one axis")
-        flat_idx = int(np.argmax(x.data))
-        out = Tensor(x.data.reshape(-1)[flat_idx])
-
-        def backward(g, adj):
-            d = np.zeros(x.shape, dtype=np.float64)
-            d.reshape(-1)[flat_idx] = float(g)
-            _accum(adj, x, d)
 
         return self._record(out, backward)
 

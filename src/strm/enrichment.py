@@ -22,7 +22,6 @@ __all__ = [
     "init_fle_params",
     "ple_forward",
     "ple_forward_batch",
-    "pool_frames",
     "fle_forward",
     "fle_forward_batch",
     "ple_patch_diagnostics",
@@ -100,12 +99,14 @@ def init_fle_params(frames: int, channels: int, seed_for) -> FLEParams:
     )
 
 
-def _ple_core(tape: Tape, frames: Tensor, params: PLEParams) -> tuple[Tensor, Tensor]:
+def _ple_core(tape: Tape, frames: Tensor,
+              params: PLEParams) -> tuple[Tensor, Tensor, Tensor]:
     """Shared body of patch enrichment over [n x patches x channels] frames.
 
-    Returns the attended rows [n x patches x channels] and the refiner's
-    second hidden layer [n * patches x hidden]; the linear last refiner layer
-    is left to the caller. Attention scores (x Wq)(x Wk)^T / sqrt(D) are
+    Returns the attended rows [n x patches x channels], the refiner's second
+    hidden layer [n * patches x hidden] and the pre-softmax attention scores
+    [n x patches x patches]; the linear last refiner layer is left to the
+    caller. Attention scores (x Wq)(x Wk)^T / sqrt(D) are
     x (x M)^T with M = Wk Wq^T / sqrt(D): folding the query-key product into
     one D x D matrix replaces the query projection of every patch row with a
     single D^3 product.
@@ -121,7 +122,19 @@ def _ple_core(tape: Tape, frames: Tensor, params: PLEParams) -> tuple[Tensor, Te
     attended = tape.add(tape.bmm(tape.softmax_last(scores), v), frames)
     flat_att = tape.reshape(attended, (n * n_patches, channels))
     hidden = tape.relu(tape.matmul(flat_att, params.refine1.value))
-    return attended, tape.relu(tape.matmul(hidden, params.refine2.value))
+    return attended, tape.relu(tape.matmul(hidden, params.refine2.value)), scores
+
+
+def _ple_frame(tape: Tape, patches: Tensor, params: PLEParams) -> tuple[Tensor, Tensor]:
+    """ple_forward's output and the frame's attention scores [1 x P x P]."""
+    if patches.ndim != 2 or patches.shape[1] != params.channels:
+        raise ShapeError(
+            f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
+        )
+    attended, hidden, scores = _ple_core(
+        tape, tape.reshape(patches, (1,) + patches.shape), params)
+    return tape.add(tape.matmul(hidden, params.refine3.value),
+                    tape.reshape(attended, patches.shape)), scores
 
 
 def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
@@ -132,13 +145,7 @@ def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
     linear final layer) is applied per patch with a second residual. Shape
     [patches x channels] is preserved.
     """
-    if patches.ndim != 2 or patches.shape[1] != params.channels:
-        raise ShapeError(
-            f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
-        )
-    attended, hidden = _ple_core(tape, tape.reshape(patches, (1,) + patches.shape), params)
-    return tape.add(tape.matmul(hidden, params.refine3.value),
-                    tape.reshape(attended, patches.shape))
+    return _ple_frame(tape, patches, params)[0]
 
 
 def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
@@ -155,7 +162,7 @@ def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
             f"ple_forward_batch needs [n x patches x {params.channels}], "
             f"got {frames.shape}")
     n, n_patches, _ = frames.shape
-    attended, hidden = _ple_core(tape, frames, params)
+    attended, hidden, _ = _ple_core(tape, frames, params)
     pooled_hidden = tape.mean(tape.reshape(hidden, (n, n_patches, hidden.shape[1])), axis=1)
     return tape.add(tape.matmul(pooled_hidden, params.refine3.value),
                     tape.mean(attended, axis=1))
@@ -192,17 +199,6 @@ def fle_forward_batch(tape: Tape, clips: Tensor, params: FLEParams) -> Tensor:
     return tape.reshape(out, (n, frames, channels))
 
 
-def pool_frames(tape: Tape, frame_features: list[Tensor]) -> Tensor:
-    """Average each frame's patch rows and stack frames into [frames x channels]."""
-    if not frame_features:
-        raise ShapeError("pool_frames needs at least one frame")
-    shape = frame_features[0].shape
-    for f in frame_features:
-        if f.shape != shape:
-            raise ShapeError(f"inconsistent frame shapes: {shape} vs {f.shape}")
-    return tape.stack([tape.mean(f, axis=0) for f in frame_features])
-
-
 def fle_forward(tape: Tape, frames: Tensor, params: FLEParams) -> Tensor:
     """Temporally enrich one clip's pooled frame features [frames x channels]:
     fle_forward_batch on a block of one clip."""
@@ -221,11 +217,5 @@ def ple_patch_diagnostics(patches: np.ndarray, params: PLEParams | None):
     if params is None:
         n_patches = x.shape[0]
         return np.zeros((n_patches, n_patches)), np.sqrt((x * x).sum(axis=1))
-    tape = Tape()
-    xt = Tensor(x)
-    q = tape.matmul(xt, params.query_proj.value)
-    k = tape.matmul(xt, params.key_proj.value)
-    scores = tape.scale(tape.matmul(q, tape.transpose(k)), 1.0 / math.sqrt(params.channels))
-    enriched = ple_forward(tape, xt, params)
-    norms = np.sqrt((enriched.data * enriched.data).sum(axis=1))
-    return scores.data.copy(), norms
+    enriched, scores = _ple_frame(Tape(), Tensor(x), params)
+    return scores.data[0], np.sqrt((enriched.data * enriched.data).sum(axis=1))

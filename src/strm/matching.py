@@ -34,10 +34,9 @@ __all__ = [
     "tuple_repr",
     "tuple_matrix",
     "project_tuples",
+    "check_class_sizes",
     "ClassSupportEmbeds",
     "embed_class_supports",
-    "ClassBlock",
-    "stack_classes",
     "trm_distance",
     "trm_logits",
     "encode_class_supports",
@@ -204,6 +203,8 @@ def _concat_rows(tape: Tape, parts: Sequence[Tensor]) -> Tensor:
 
 def _clip_block(tape: Tape, clips: Sequence[Tensor]) -> tuple[Tensor, int]:
     """Frame rows of equally shaped clips back to back, and frames per clip."""
+    if not clips:
+        raise ShapeError("support set is empty")
     shape = clips[0].shape
     for i, clip in enumerate(clips):
         if clip.ndim != 2 or clip.shape != shape:
@@ -221,12 +222,42 @@ def _query_block(tape: Tape, query_frames: Tensor) -> tuple[Tensor, int, int]:
     raise ShapeError(f"query must be [L x D] or [Q x L x D], got {query_frames.shape}")
 
 
-def _check_class_sizes(sizes: Sequence[int]) -> None:
+def check_class_sizes(sizes: Sequence[int]) -> None:
     """Batched matching scores every class in one block: classes must be equal."""
     for c, n in enumerate(sizes):
         if n != sizes[0]:
             raise ShapeError(f"class {c} has {n} support clips but class 0 has "
                              f"{sizes[0]}; every class needs the same number")
+
+
+def _class_rows(
+    tape: Tape,
+    class_supports: Sequence[Sequence[Tensor]] | Tensor,
+    classes: int | None,
+    frames: int,
+) -> tuple[Tensor, int]:
+    """Class-major support frame rows [classes * clips * frames x D] and the
+    class count, from such a block with its count or from per-class clip
+    lists of one length (concatenated)."""
+    if not isinstance(class_supports, Tensor):
+        check_class_sizes([len(group) for group in class_supports])
+        classes = len(class_supports)
+        class_supports, clip_frames = _clip_block(
+            tape, [clip for group in class_supports for clip in group])
+        if clip_frames != frames:
+            raise ShapeError(f"support clips have {clip_frames} frames, the query {frames}")
+    if classes is None or classes < 1 or class_supports.ndim != 2 \
+            or class_supports.shape[0] % (classes * frames) != 0:
+        raise ShapeError(f"support block {class_supports.shape} does not hold "
+                         f"{classes} classes of equal clips of {frames} frames")
+    return class_supports, classes
+
+
+def _check_class_count(class_supports: Sequence | Tensor, classes: int | None) -> None:
+    """Logits compare classes: at least two of them."""
+    count = classes if isinstance(class_supports, Tensor) else len(class_supports)
+    if count is not None and count < 2:
+        raise ShapeError("need at least 2 classes")
 
 
 @dataclass
@@ -238,17 +269,15 @@ class ClassSupportEmbeds:
     values: dict[int, Tensor]
 
 
-def embed_class_supports(
+def _embed_rows(
     tape: Tape,
-    support_frames: Sequence[Tensor],
+    block: Tensor,
+    frames: int,
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
 ) -> ClassSupportEmbeds:
-    """Key/value embeddings of every tuple of a support set, one projection
-    per weight for all of its clips."""
-    if not support_frames:
-        raise ShapeError("support set is empty")
-    block, frames = _clip_block(tape, support_frames)
+    """Key/value embeddings of every tuple of clips stored back to back as
+    frame rows, one projection per weight for all of them."""
     keys: dict[int, Tensor] = {}
     values: dict[int, Tensor] = {}
     for omega, tuples in tuple_sets.items():
@@ -260,63 +289,54 @@ def embed_class_supports(
     return ClassSupportEmbeds(keys=keys, values=values)
 
 
-@dataclass
-class ClassBlock:
-    """Support embeddings of every class, laid out for batched scoring:
-    keys_t omega -> [classes x embed_dim x clips * tuples] (keys transposed
-    for the attention product), values omega -> [classes x clips * tuples x
-    embed_dim]."""
-
-    keys_t: dict[int, Tensor]
-    values: dict[int, Tensor]
-
-
-def stack_classes(
+def embed_class_supports(
     tape: Tape,
-    class_supports: Sequence[Sequence[Tensor]] | Sequence[ClassSupportEmbeds],
+    support_frames: Sequence[Tensor],
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
-) -> ClassBlock:
-    """One block of every class's support keys and values, from per-class
-    clip lists (embedded together in one pass) or per-class embeddings.
-    Every class needs the same number of support clips."""
-    classes = len(class_supports)
-    if all(isinstance(s, ClassSupportEmbeds) for s in class_supports):
-        some = next(iter(tuple_sets))
-        _check_class_sizes([s.keys[some].shape[0] // len(tuple_sets[some])
-                            for s in class_supports])
-        keys = {w: _concat_rows(tape, [s.keys[w] for s in class_supports])
-                for w in tuple_sets}
-        values = {w: _concat_rows(tape, [s.values[w] for s in class_supports])
-                  for w in tuple_sets}
-    else:
-        _check_class_sizes([len(group) for group in class_supports])
-        pooled = embed_class_supports(
-            tape, [clip for group in class_supports for clip in group],
-            tuple_sets, trm_params)
-        keys, values = pooled.keys, pooled.values
-
-    def split(x: Tensor) -> Tensor:
-        return tape.reshape(x, (classes, x.shape[0] // classes, x.shape[1]))
-
-    return ClassBlock(keys_t={w: tape.transpose_last2(split(k)) for w, k in keys.items()},
-                      values={w: split(v) for w, v in values.items()})
+) -> ClassSupportEmbeds:
+    """Key/value embeddings of every tuple of a support set, one projection
+    per weight for all of its clips."""
+    block, frames = _clip_block(tape, support_frames)
+    return _embed_rows(tape, block, frames, tuple_sets, trm_params)
 
 
 def _trm_distances(
     tape: Tape,
     query_frames: Tensor,
-    block: ClassBlock,
+    class_supports: Sequence[Sequence[Tensor]] | Sequence[ClassSupportEmbeds] | Tensor,
+    classes: int | None,
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
 ) -> Tensor:
     """Matching distances [classes x queries] from one query or a query block
-    to every class of a block."""
+    to every class."""
     rows, queries, frames = _query_block(tape, query_frames)
+    if isinstance(class_supports, Tensor) or \
+            not all(isinstance(s, ClassSupportEmbeds) for s in class_supports):
+        block, classes = _class_rows(tape, class_supports, classes, frames)
+        pooled = _embed_rows(tape, block, frames, tuple_sets, trm_params)
+        keys, values = pooled.keys, pooled.values
+    else:
+        classes = len(class_supports)
+        some = next(iter(tuple_sets))
+        check_class_sizes([s.keys[some].shape[0] // len(tuple_sets[some])
+                           for s in class_supports])
+        keys = {w: _concat_rows(tape, [s.keys[w] for s in class_supports])
+                for w in tuple_sets}
+        values = {w: _concat_rows(tape, [s.values[w] for s in class_supports])
+                  for w in tuple_sets}
+
+    def per_class(x: Tensor) -> Tensor:
+        return tape.reshape(x, (classes, x.shape[0] // classes, x.shape[1]))
+
+    # keys transposed for the attention product: [classes x embed_dim x clips * tuples]
+    keys_t = {w: tape.transpose_last2(per_class(k)) for w, k in keys.items()}
+    values = {w: per_class(v) for w, v in values.items()}
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
         params = trm_params[omega]
-        classes, embed_dim, _ = block.keys_t[omega].shape
+        embed_dim = keys_t[omega].shape[1]
         q_keys = tape.scale(
             _rows(tape, project_tuples(tape, rows, frames, params.key_proj.value, tuples)),
             1.0 / math.sqrt(embed_dim),
@@ -324,8 +344,8 @@ def _trm_distances(
         q_vals = _rows(tape, project_tuples(tape, rows, frames,
                                             params.value_proj.value, tuples))
         # each class block: every query tuple attends over that class's tuples
-        scores = tape.bmm(tape.stack([q_keys] * classes), block.keys_t[omega])
-        prototypes = tape.bmm(tape.softmax_last(scores), block.values[omega])
+        scores = tape.bmm(tape.stack([q_keys] * classes), keys_t[omega])
+        prototypes = tape.bmm(tape.softmax_last(scores), values[omega])
         diffs = tape.sub(tape.stack([q_vals] * classes), prototypes)
         norms = tape.rows_l2norm(_rows(tape, diffs))
         dist = tape.mean(tape.reshape(norms, (classes, queries, len(tuples))), axis=2)
@@ -349,32 +369,47 @@ def trm_distance(
     embedding and the prototype is averaged per cardinality, then summed
     over cardinalities.
     """
-    block = stack_classes(tape, [support_frames], tuple_sets, trm_params)
-    return tape.reshape(_trm_distances(tape, query_frames, block, tuple_sets, trm_params), ())
+    return tape.reshape(_trm_distances(tape, query_frames, [support_frames], None,
+                                       tuple_sets, trm_params), ())
 
 
 def trm_logits(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Sequence[Sequence[Tensor]] | Sequence[ClassSupportEmbeds],
+    class_supports: Sequence[Sequence[Tensor]] | Sequence[ClassSupportEmbeds] | Tensor,
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
+    classes: int | None = None,
 ) -> Tensor:
     """Per-class logits, the negative matching distances: [classes] for one
     query clip [L x D], [Q x classes] for a query block [Q x L x D].
 
     Classes come as support clip lists or per-class embeddings (one per
-    class, all with the same number of clips), or as a block from
-    stack_classes, which scores many queries without restacking.
+    class, all with the same number of clips), or as one class-major support
+    block of frame rows [classes * clips * L x D] with `classes` given.
     """
-    if not isinstance(class_supports, ClassBlock):
-        if len(class_supports) < 2:
-            raise ShapeError("need at least 2 classes")
-        class_supports = stack_classes(tape, class_supports, tuple_sets, trm_params)
-    dist = _trm_distances(tape, query_frames, class_supports, tuple_sets, trm_params)
+    _check_class_count(class_supports, classes)
+    dist = _trm_distances(tape, query_frames, class_supports, classes,
+                          tuple_sets, trm_params)
     per_query = (tape.reshape(dist, (dist.shape[0],)) if query_frames.ndim == 2
                  else tape.transpose(dist))
     return tape.scale(per_query, -1.0)
+
+
+def _encode_rows(
+    tape: Tape,
+    block: Tensor,
+    frames: int,
+    tuple_sets: dict[int, list[TupleIndex]],
+    qc_params: dict[int, QCParams],
+) -> dict[int, Tensor]:
+    """ReLU codes of every tuple of clips stored back to back as frame rows:
+    omega -> [clips * tuples x code_dim]."""
+    return {
+        omega: _rows(tape, tape.relu(project_tuples(
+            tape, block, frames, qc_params[omega].class_proj.value, tuples)))
+        for omega, tuples in tuple_sets.items()
+    }
 
 
 def encode_class_supports(
@@ -385,45 +420,24 @@ def encode_class_supports(
 ) -> dict[int, Tensor]:
     """ReLU codes of every tuple of a support set, pooled clip-major:
     omega -> [clips * tuples x code_dim]."""
-    if not support_frames:
-        raise ShapeError("support set is empty")
     block, frames = _clip_block(tape, support_frames)
-    return {
-        omega: _rows(tape, tape.relu(project_tuples(
-            tape, block, frames, qc_params[omega].class_proj.value, tuples)))
-        for omega, tuples in tuple_sets.items()
-    }
-
-
-def _class_codes(
-    tape: Tape,
-    class_supports: Sequence[Sequence[Tensor]] | Sequence[dict[int, Tensor]],
-    tuple_sets: dict[int, list[TupleIndex]],
-    qc_params: dict[int, QCParams],
-) -> dict[int, Tensor]:
-    """Support codes of every class, class-major: omega -> [classes * clips *
-    tuples x code_dim]. Clip lists are encoded together in one pass."""
-    if all(isinstance(s, dict) for s in class_supports):
-        some = next(iter(tuple_sets))
-        _check_class_sizes([s[some].shape[0] // len(tuple_sets[some])
-                            for s in class_supports])
-        return {w: _concat_rows(tape, [s[w] for s in class_supports]) for w in tuple_sets}
-    _check_class_sizes([len(group) for group in class_supports])
-    return encode_class_supports(
-        tape, [clip for group in class_supports for clip in group], tuple_sets, qc_params)
+    return _encode_rows(tape, block, frames, tuple_sets, qc_params)
 
 
 def _qc_similarities(
     tape: Tape,
     query_frames: Tensor,
-    codes: dict[int, Tensor],
-    classes: int,
+    class_supports: Sequence[Sequence[Tensor]] | Tensor,
+    classes: int | None,
     tuple_sets: dict[int, list[TupleIndex]],
     qc_params: dict[int, QCParams],
 ) -> Tensor:
     """Similarities [queries x classes] from one query or a query block to
-    class-major support codes."""
+    every class, given as clip lists (encoded together in one pass) or as a
+    class-major support block of frame rows with its class count."""
     block, queries, frames = _query_block(tape, query_frames)
+    support, classes = _class_rows(tape, class_supports, classes, frames)
+    codes = _encode_rows(tape, support, frames, tuple_sets, qc_params)
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
         q_codes = _rows(tape, tape.relu(project_tuples(
@@ -452,28 +466,26 @@ def qc_similarity(
     tuples (zero-norm codes score 0), matches are averaged per cardinality
     and summed over cardinalities.
     """
-    codes = encode_class_supports(tape, support_frames, tuple_sets, qc_params)
-    return tape.reshape(
-        _qc_similarities(tape, query_frames, codes, 1, tuple_sets, qc_params), ())
+    return tape.reshape(_qc_similarities(tape, query_frames, [support_frames], None,
+                                         tuple_sets, qc_params), ())
 
 
 def qc_logits(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Sequence[Sequence[Tensor]] | Sequence[dict[int, Tensor]],
+    class_supports: Sequence[Sequence[Tensor]] | Tensor,
     tuple_sets: dict[int, list[TupleIndex]],
     qc_params: dict[int, QCParams],
+    classes: int | None = None,
 ) -> Tensor:
     """Per-class similarity logits: [classes] for one query clip [L x D],
     [Q x classes] for a query block [Q x L x D].
 
-    Classes come as support clip lists or as precomputed pooled code
-    matrices (omega -> codes); all classes need the same number of support
-    clips.
+    Classes come as support clip lists, all of the same length, or as one
+    class-major support block of frame rows [classes * clips * L x D] with
+    `classes` given.
     """
-    if len(class_supports) < 2:
-        raise ShapeError("need at least 2 classes")
-    classes = len(class_supports)
-    codes = _class_codes(tape, class_supports, tuple_sets, qc_params)
-    sims = _qc_similarities(tape, query_frames, codes, classes, tuple_sets, qc_params)
-    return tape.reshape(sims, (classes,)) if query_frames.ndim == 2 else sims
+    _check_class_count(class_supports, classes)
+    sims = _qc_similarities(tape, query_frames, class_supports, classes,
+                            tuple_sets, qc_params)
+    return tape.reshape(sims, (sims.shape[1],)) if query_frames.ndim == 2 else sims

@@ -25,8 +25,9 @@ __all__ = [
     "params_from_arrays",
     "infer_config",
     "validate_against",
-    "enrich_clip",
+    "enrich_block",
     "enrich_clips",
+    "score_episode",
     "forward_episode",
 ]
 
@@ -223,38 +224,15 @@ class ForwardResult:
     loss_qc: float
 
 
-def enrich_clip(tape: Tape, values: Tensor, params: ModelParams,
-                config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Run one clip through the enabled enrichment stages.
+def enrich_block(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
+                 config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Enrich many clips in one batched pass.
 
-    Returns (pooled [frames x channels], enriched [frames x channels]); with
-    both stages disabled the two are the same pooled raw features.
-    """
-    if values.ndim != 3 or values.shape[0] != config.frames \
-            or values.shape[2] != config.channels:
-        raise ShapeError(
-            f"clip shape {values.shape} does not match config "
-            f"[{config.frames} x patches x {config.channels}]")
-    per_frame = []
-    for i in range(config.frames):
-        frame = Tensor(values.data[i])
-        if params.ple is not None:
-            frame = enrichment.ple_forward(tape, frame, params.ple)
-        per_frame.append(frame)
-    pooled = enrichment.pool_frames(tape, per_frame)
-    enriched = (enrichment.fle_forward(tape, pooled, params.fle)
-                if params.fle is not None else pooled)
-    return pooled, enriched
-
-
-def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
-                 config: ModelConfig,
-                 need_pooled: bool = True) -> list[tuple[Tensor | None, Tensor]]:
-    """Enrich many clips in one batched pass; per clip, matches enrich_clip.
-
-    Clip values are module inputs, so stacking them outside the tape is
-    gradient-free. Returns per-clip (pooled, enriched) pairs; pooled is None
-    when not requested.
+    Returns (pooled, enriched), the clips' frame rows back to back, each
+    [n * frames x channels]: pooled over patches after patch enrichment, and
+    enriched after frame enrichment. With frame enrichment off they are one
+    tensor. Clip values are module inputs, so stacking them outside the tape
+    is gradient-free.
     """
     for values in clips:
         if values.ndim != 3 or values.shape[0] != config.frames \
@@ -266,26 +244,67 @@ def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
     frames = config.frames
     block = Tensor(np.concatenate([v.data for v in clips], axis=0))
     if params.ple is not None:
-        pooled_all = enrichment.ple_forward_batch(tape, block, params.ple)
+        pooled = enrichment.ple_forward_batch(tape, block, params.ple)
     else:
-        pooled_all = tape.mean(block, axis=1)  # (n * frames) x channels
-    if params.fle is not None:
-        enriched_3d = enrichment.fle_forward_batch(
-            tape, tape.reshape(pooled_all, (n, frames, config.channels)), params.fle)
-        enriched_all = tape.reshape(enriched_3d, (n * frames, config.channels))
-    else:
-        enriched_all = pooled_all
+        pooled = tape.mean(block, axis=1)  # (n * frames) x channels
+    if params.fle is None:
+        return pooled, pooled
+    enriched = enrichment.fle_forward_batch(
+        tape, tape.reshape(pooled, (n, frames, config.channels)), params.fle)
+    return pooled, tape.reshape(enriched, (n * frames, config.channels))
+
+
+def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
+                 config: ModelConfig,
+                 need_pooled: bool = True) -> list[tuple[Tensor | None, Tensor]]:
+    """Per-clip (pooled, enriched) [frames x channels] pairs: enrich_block
+    split by row gathers. Pooled is None when not requested."""
+    pooled_all, enriched_all = enrich_block(tape, clips, params, config)
     out: list[tuple[Tensor | None, Tensor]] = []
-    for i in range(n):
-        rows = range(i * frames, (i + 1) * frames)
+    for i in range(len(clips)):
+        rows = range(i * config.frames, (i + 1) * config.frames)
         enriched = tape.gather_rows(enriched_all, rows)
-        if need_pooled:
-            pooled = (tape.gather_rows(pooled_all, rows)
-                      if params.fle is not None else enriched)
-            out.append((pooled, enriched))
-        else:
+        if not need_pooled:
             out.append((None, enriched))
+        elif pooled_all is enriched_all:
+            out.append((enriched, enriched))
+        else:
+            out.append((tape.gather_rows(pooled_all, rows), enriched))
     return out
+
+
+def score_episode(tape: Tape, episode: Episode, params: ModelParams,
+                  config: ModelConfig,
+                  use_qc: bool = True) -> tuple[Tensor, Tensor | None]:
+    """Logits of every query against every class, each [queries x classes]:
+    matching logits on the enriched frames, and similarity logits on the
+    pooled frames (None unless use_qc and the similarity head is on).
+
+    The whole episode is enriched as one block; one contiguous row gather
+    per block takes out the class-major support rows and one the query rows.
+    """
+    shots = [len(way_clips) for way_clips in episode.support]
+    matching.check_class_sizes(shots)
+    clips = [rec.features.values for way_clips in episode.support for rec in way_clips]
+    clips += [rec.features.values for rec, _ in episode.queries]
+    pooled, enriched = enrich_block(tape, clips, params, config)
+    support_rows = range(sum(shots) * config.frames)
+    query_rows = range(len(support_rows), len(clips) * config.frames)
+    query_shape = (len(episode.queries), config.frames, config.channels)
+    tuple_sets = config.tuple_sets()
+
+    def split(block: Tensor) -> tuple[Tensor, Tensor]:
+        return (tape.gather_rows(block, support_rows),
+                tape.reshape(tape.gather_rows(block, query_rows), query_shape))
+
+    support, queries = split(enriched)
+    tm = matching.trm_logits(tape, queries, support, tuple_sets, params.trm,
+                             classes=len(shots))
+    if not (use_qc and params.qc and config.use_qc):
+        return tm, None
+    support, queries = split(pooled)
+    return tm, matching.qc_logits(tape, queries, support, tuple_sets, params.qc,
+                                  classes=len(shots))
 
 
 def forward_episode(tape: Tape, episode: Episode, params: ModelParams,
@@ -297,34 +316,14 @@ def forward_episode(tape: Tape, episode: Episode, params: ModelParams,
     the matching cross-entropy plus qc_weight times the similarity
     cross-entropy, averaged over the episode's queries.
     """
-    tuple_sets = config.tuple_sets()
-    use_qc = bool(params.qc) and config.use_qc
-    ways = len(episode.support)
-    shots = [len(way_clips) for way_clips in episode.support]
-    all_values = [rec.features.values
-                  for way_clips in episode.support for rec in way_clips]
-    all_values += [rec.features.values for rec, _ in episode.queries]
-    enriched_pairs = enrich_clips(tape, all_values, params, config,
-                                  need_pooled=use_qc)
-    offsets = np.cumsum([0] + shots)
-    sup_pooled = [[enriched_pairs[i][0] for i in range(offsets[w], offsets[w + 1])]
-                  for w in range(ways)]
-    sup_enriched = [[enriched_pairs[i][1] for i in range(offsets[w], offsets[w + 1])]
-                    for w in range(ways)]
-    query_pairs = enriched_pairs[offsets[-1]:]
     targets = [way for _, way in episode.queries]
-    tm = matching.trm_logits(tape, tape.stack([e for _, e in query_pairs]),
-                             sup_enriched, tuple_sets, params.trm)
+    tm, qc = score_episode(tape, episode, params, config)
     tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
-    qc = qc_mean = None
-    if use_qc:
-        qc = matching.qc_logits(tape, tape.stack([p for p, _ in query_pairs]),
-                                sup_pooled, tuple_sets, params.qc)
-        qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
     scores = [EpisodeScores(trm_logits=Tensor(tm.data[q]),
                             qc_logits=None if qc is None else Tensor(qc.data[q]))
               for q in range(len(targets))]
-    if qc_mean is None:
+    if qc is None:
         return ForwardResult(tm_mean, scores, tm_mean.item(), 0.0)
+    qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
     loss = tape.add(tm_mean, tape.scale(qc_mean, config.qc_weight))
     return ForwardResult(loss, scores, tm_mean.item(), qc_mean.item())

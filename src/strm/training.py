@@ -5,6 +5,7 @@ and the ablation runner."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -12,8 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import matching, model
-from .diffcore import NumericalError, Param, Tape, Tensor, finite_diff_gradients, zero_grads
+from . import model
+from .diffcore import NumericalError, Param, Tape, finite_diff_gradients, zero_grads
 from .episodes import Dataset, Episode, EpisodeSpec, sample_episode
 from .model import ModelConfig, ModelParams, build_params, forward_episode
 
@@ -27,6 +28,7 @@ __all__ = [
     "mean_pool_baseline",
     "save_checkpoint",
     "load_checkpoint",
+    "write_atomic",
     "format_metrics",
     "gradcheck_model",
     "GradCheckRow",
@@ -84,13 +86,6 @@ def sgd_step(params: Iterable[Param], learning_rate: float,
         p.zero_grad()
 
 
-def _predict(enriched_query: Tensor, class_embeds, tuple_sets, trm_params,
-             tape: Tape) -> tuple[int, np.ndarray]:
-    logits = matching.trm_logits(tape, enriched_query, class_embeds,
-                                 tuple_sets, trm_params)
-    return int(np.argmax(logits.data)), logits.data
-
-
 def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
              spec: EpisodeSpec, n_episodes: int) -> EvalReport:
     """Accuracy of matching-head predictions over freshly sampled episodes.
@@ -99,27 +94,13 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
     class index. The half-width is 1.96 * sqrt(p * (1 - p) / n) over all
     scored queries.
     """
-    tuple_sets = config.tuple_sets()
     hits = 0
     total = 0
     per_class: dict[int, list[int]] = {}
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
-        tape = Tape()
-        ways = len(episode.support)
-        shots = [len(way_clips) for way_clips in episode.support]
-        all_values = [rec.features.values
-                      for way_clips in episode.support for rec in way_clips]
-        all_values += [rec.features.values for rec, _ in episode.queries]
-        pairs = model.enrich_clips(tape, all_values, params, config, need_pooled=False)
-        offsets = np.cumsum([0] + shots)
-        enriched_support = [[pairs[i][1] for i in range(offsets[w], offsets[w + 1])]
-                            for w in range(ways)]
-        class_embeds = [matching.embed_class_supports(tape, group, tuple_sets, params.trm)
-                        for group in enriched_support]
-        class_block = matching.stack_classes(tape, class_embeds, tuple_sets, params.trm)
-        for (record, way), (_, enriched) in zip(episode.queries, pairs[offsets[-1]:]):
-            pred, _ = _predict(enriched, class_block, tuple_sets, params.trm, tape)
+        logits, _ = model.score_episode(Tape(), episode, params, config, use_qc=False)
+        for (record, way), pred in zip(episode.queries, np.argmax(logits.data, axis=1)):
             correct = int(pred == way)
             hits += correct
             total += 1
@@ -253,7 +234,25 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         chunks.append(struct.pack("<I", len(shape)))
         chunks.append(struct.pack(f"<{len(shape)}I", *shape))
         chunks.append(p.value.data.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace the file at `path` with `data` so that it holds either its old
+    contents or all of the new ones, never a torn write: the bytes go to a
+    temp file in the same directory, are flushed to disk, and the temp file
+    is then renamed over `path`."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

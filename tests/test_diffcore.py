@@ -2,13 +2,18 @@
 oracle, and determinism."""
 
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strm.diffcore import (NumericalError, Param, ShapeError, Tape, Tensor,
-                           finite_diff_gradients, seeded_init, zero_grads)
+import strm
+from strm.diffcore import (HEAP_POLICY_SET, NumericalError, Param, ShapeError, Tape,
+                           Tensor, finite_diff_gradients, seeded_init, zero_grads)
 
 
 def as_param(name, values):
@@ -22,6 +27,11 @@ def tape_grads(build_loss, params):
     loss = build_loss(tape)
     tape.backward(loss, params)
     return {p.name: p.grad.copy() for p in params}
+
+
+def l2_norm(tape, x):
+    """Euclidean norm of a whole tensor, as a scalar: the tensor as one row."""
+    return tape.reshape(tape.rows_l2norm(tape.reshape(x, (1, x.size))), ())
 
 
 def relative_errors(build_loss, params, step=1e-5):
@@ -74,18 +84,18 @@ def test_matmul_gradient_matches_central_differences():
 
 
 def test_softmax_symmetry():
-    out = Tape().softmax_rows(Tensor([[0.0, 0.0]]))
+    out = Tape().softmax_last(Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]], atol=0)
 
 
 def test_softmax_large_inputs_stable():
-    out = Tape().softmax_rows(Tensor([[1000.0, 1000.0, 1000.0]]))
+    out = Tape().softmax_last(Tensor([[1000.0, 1000.0, 1000.0]]))
     assert np.allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_softmax_matches_bruteforce():
     x = np.array([[1.0, 2.0, 3.0]])
-    out = Tape().softmax_rows(Tensor(x))
+    out = Tape().softmax_last(Tensor(x))
     expected = np.exp(x) / np.exp(x).sum()
     assert np.abs(out.data - expected).max() <= 1e-12
 
@@ -93,7 +103,7 @@ def test_softmax_matches_bruteforce():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 8)) * 5
-    out = Tape().softmax_rows(Tensor(x))
+    out = Tape().softmax_last(Tensor(x))
     assert np.abs(out.data.sum(axis=1) - 1.0).max() <= 1e-12
     assert (out.data >= 0).all()
 
@@ -101,8 +111,8 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 5))
-    a = Tape().softmax_rows(Tensor(x))
-    b = Tape().softmax_rows(Tensor(x + 13.25))
+    a = Tape().softmax_last(Tensor(x))
+    b = Tape().softmax_last(Tensor(x + 13.25))
     assert np.abs(a.data - b.data).max() <= 1e-10
 
 
@@ -197,27 +207,17 @@ def test_mean_of_constant():
 
 
 def test_cosine_self_is_one():
-    v = Tensor([0.3, -1.2, 0.7])
-    assert abs(Tape().cosine(v, v).item() - 1.0) <= 1e-12
+    v = Tensor([[0.3, -1.2, 0.7]])
+    assert abs(Tape().cosine_matrix(v, v).data[0, 0] - 1.0) <= 1e-12
 
 
 def test_cosine_zero_vector_guard():
-    out = Tape().cosine(Tensor([0.0, 0.0]), Tensor([1.0, 2.0]))
-    assert out.item() == 0.0
+    out = Tape().cosine_matrix(Tensor([[0.0, 0.0]]), Tensor([[1.0, 2.0]]))
+    assert out.data[0, 0] == 0.0
 
 
 def test_l2_norm_345():
-    assert Tape().l2_norm(Tensor([3.0, 4.0])).item() == 5.0
-
-
-def test_max_reduce_tie_routes_to_lowest_index():
-    x = as_param("x", [1.0, 3.0, 3.0, 2.0])
-
-    def loss(tape):
-        return tape.max_reduce(x.value)
-
-    grads = tape_grads(loss, [x])
-    assert np.array_equal(grads["x"], [0.0, 1.0, 0.0, 0.0])
+    assert Tape().rows_l2norm(Tensor([[3.0, 4.0]])).data[0] == 5.0
 
 
 def test_max_rows_tie_routes_to_lowest_index():
@@ -236,7 +236,7 @@ def test_concat_roundtrip_gradient():
 
     def loss(tape):
         joined = tape.concat([a.value, b.value], axis=0)
-        return tape.l2_norm(joined)
+        return l2_norm(tape, joined)
 
     errs = relative_errors(loss, [a, b])
     assert max(errs.values()) <= 1e-8
@@ -248,8 +248,7 @@ def test_concat_roundtrip_gradient():
 def _scalarize(tape, out):
     if out.ndim == 0:
         return out
-    flat = tape.reshape(out, (out.size,))
-    return tape.l2_norm(flat)
+    return l2_norm(tape, out)
 
 
 OP_SCENARIOS = {
@@ -271,13 +270,20 @@ OP_SCENARIOS = {
     "mean0": lambda tape, p: tape.mean(p[0].value, axis=0),
     "mean1": lambda tape, p: tape.mean(p[0].value, axis=1),
     "relu": lambda tape, p: tape.relu(p[0].value),
-    "softmax_rows": lambda tape, p: tape.softmax_rows(p[0].value),
+    # softmax over the rows of a matrix; "softmax_last" covers rank 3
+    "softmax_rows": lambda tape, p: tape.softmax_last(p[0].value),
     "softmax_last": lambda tape, p: tape.softmax_last(p[2].value),
-    "l2_norm": lambda tape, p: tape.l2_norm(p[0].value),
+    # the norm of a whole tensor, taken as one row
+    "l2_norm": lambda tape, p: l2_norm(tape, p[0].value),
     "rows_l2norm": lambda tape, p: tape.rows_l2norm(p[0].value),
-    "cosine": lambda tape, p: tape.cosine(p[5].value, p[6].value),
+    # the cosine of two vectors, as one-row matrices
+    "cosine": lambda tape, p: tape.cosine_matrix(
+        tape.reshape(p[5].value, (1, p[5].value.size)),
+        tape.reshape(p[6].value, (1, p[6].value.size))),
     "cosine_matrix": lambda tape, p: tape.cosine_matrix(p[0].value, p[4].value),
-    "max_reduce": lambda tape, p: tape.max_reduce(p[0].value),
+    # the maximum of a whole tensor, taken as one row
+    "max_reduce": lambda tape, p: tape.max_rows(
+        tape.reshape(p[0].value, (1, p[0].value.size))),
     "max_rows": lambda tape, p: tape.max_rows(p[0].value),
     "cross_entropy": lambda tape, p: tape.cross_entropy(
         tape.softmax_last(p[0].value), [i % p[0].value.shape[1]
@@ -358,7 +364,7 @@ def test_gradient_accumulation_is_additive():
 
     def backward_once(x):
         tape = Tape()
-        loss = tape.l2_norm(tape.matmul(x, w.value))
+        loss = l2_norm(tape, tape.matmul(x, w.value))
         tape.backward(loss, [w])
 
     w.zero_grad()
@@ -379,7 +385,7 @@ def test_ops_are_deterministic():
 
     def run():
         tape = Tape()
-        out = tape.softmax_rows(tape.matmul(Tensor(x), tape.relu(Tensor(x))))
+        out = tape.softmax_last(tape.matmul(Tensor(x), tape.relu(Tensor(x))))
         return out.data
 
     assert np.array_equal(run(), run())
@@ -424,3 +430,50 @@ def test_backward_requires_scalar_loss():
 def test_gather_rows_out_of_range():
     with pytest.raises(IndexError):
         Tape().gather_rows(Tensor(np.ones((2, 2))), [0, 2])
+
+
+# -- heap policy ---------------------------------------------------------------------
+
+TRAINING_FAULTS = """
+import resource
+from strm.diffcore import Tape
+from strm.episodes import EpisodeSpec, SyntheticSpec, generate_synthetic, sample_episode
+from strm.model import ModelConfig, build_params, forward_episode
+from strm.training import sgd_step
+
+dataset = generate_synthetic(SyntheticSpec(num_classes=6, clips_per_class=10, seed=0))
+config = ModelConfig(seed=0)
+params = build_params(config)
+plist = params.all()
+spec = EpisodeSpec(ways=5, shots=5, seed=0)
+
+
+def episode(counter):
+    tape = Tape()
+    loss = forward_episode(tape, sample_episode(dataset, spec, counter), params,
+                           config).loss
+    tape.backward(loss, plist)
+    sgd_step(plist, 0.1)
+
+
+for counter in range(10):
+    episode(counter)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for counter in range(10, 40):
+    episode(counter)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+"""
+
+
+@pytest.mark.skipif(not HEAP_POLICY_SET, reason="mallopt is not available")
+def test_heap_policy_keeps_training_episodes_free_of_page_faults():
+    """Desk-config training episodes after warm-up reuse the heap they freed
+    instead of faulting it back in (about 2,000 minor faults per episode
+    with glibc's default trimming)."""
+    src = str(Path(strm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", TRAINING_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=600, check=True)
+    faults_per_episode = float(run.stdout)
+    assert faults_per_episode < 100, faults_per_episode

@@ -7,8 +7,10 @@ import pytest
 from strm.diffcore import Param, ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
 from strm.enrichment import (fle_forward, fle_forward_batch,
                              init_fle_params, init_ple_params, ple_forward,
-                             ple_forward_batch, ple_patch_diagnostics,
-                             pool_frames)
+                             ple_forward_batch, ple_patch_diagnostics)
+from strm.model import ModelConfig, build_params, enrich_block
+
+from test_diffcore import l2_norm
 
 
 def seed_for(name):
@@ -171,30 +173,39 @@ def test_pooled_ple_zero_params_is_patch_mean():
 # -- pooling -------------------------------------------------------------------
 
 
+def pooled_raw(clips):
+    """Patch-averaged frame rows of raw clips [frames x patches x channels],
+    from the model's block enrichment with both stages off."""
+    frames, patches, channels = clips[0].shape
+    cfg = ModelConfig(frames=frames, patches=patches, channels=channels,
+                      use_ple=False, use_fle=False, use_qc=False)
+    pooled, enriched = enrich_block(Tape(), [Tensor(c) for c in clips],
+                                    build_params(cfg), cfg)
+    assert pooled is enriched
+    return pooled.data
+
+
 def test_pool_equal_patches_returns_that_vector():
     v = np.array([1.5, -2.0, 0.25])
-    frame = Tensor(np.tile(v, (4, 1)))
-    out = pool_frames(Tape(), [frame, frame])
-    assert np.array_equal(out.data, np.stack([v, v]))
+    clip = np.tile(v, (2, 4, 1))
+    assert np.array_equal(pooled_raw([clip]), np.stack([v, v]))
 
 
 def test_pool_arithmetic_mean():
-    frame = Tensor(np.array([[1.0, 3.0], [3.0, 1.0]]))
-    out = pool_frames(Tape(), [frame])
-    assert np.array_equal(out.data, [[2.0, 2.0]])
+    clip = np.array([[[1.0, 3.0], [3.0, 1.0]], [[0.0, 4.0], [2.0, 2.0]]])
+    assert np.array_equal(pooled_raw([clip]), [[2.0, 2.0], [1.0, 3.0]])
 
 
 def test_pool_matches_bruteforce_mean():
     rng = np.random.default_rng(6)
-    clip = rng.standard_normal((5, 7, 3))
-    frames = [Tensor(clip[i]) for i in range(5)]
-    out = pool_frames(Tape(), frames)
-    assert np.abs(out.data - clip.mean(axis=1)).max() <= 1e-12
+    clips = [rng.standard_normal((5, 7, 3)) for _ in range(2)]
+    expected = np.concatenate([c.mean(axis=1) for c in clips])
+    assert np.abs(pooled_raw(clips) - expected).max() <= 1e-12
 
 
 def test_pool_rejects_inconsistent_shapes():
     with pytest.raises(ShapeError):
-        pool_frames(Tape(), [Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))])
+        pooled_raw([np.ones((2, 3, 3)), np.ones((3, 3, 3))])
 
 
 # -- permutation structure ---------------------------------------------------
@@ -255,7 +266,7 @@ def test_enrichment_gradients_match_finite_differences():
     def build(tape):
         pooled = ple_forward_batch(tape, Tensor(x), ple)
         out = fle_forward(tape, pooled, fle)
-        return tape.l2_norm(tape.reshape(out, (out.size,)))
+        return l2_norm(tape, out)
 
     zero_grads(params)
     tape = Tape()
@@ -298,6 +309,8 @@ def test_diagnostics_match_recomputed_norms():
     scores, norms = ple_patch_diagnostics(x, params)
     enriched = ple_forward(Tape(), Tensor(x), params)
     assert np.abs(norms - np.linalg.norm(enriched.data, axis=1)).max() <= 1e-12
-    assert scores.shape == (4, 4)
+    q = x @ params.query_proj.value.data
+    k = x @ params.key_proj.value.data
+    assert np.abs(scores - q @ k.T / np.sqrt(4)).max() <= 1e-12
     without = ple_patch_diagnostics(x, None)
     assert np.abs(without[1] - np.linalg.norm(x, axis=1)).max() <= 1e-12

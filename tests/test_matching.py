@@ -10,7 +10,7 @@ from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_
 from strm.matching import (embed_class_supports, enumerate_tuples,
                            init_qc_params, init_trm_params, project_tuples,
                            qc_logits, qc_similarity, select_tuples,
-                           stack_classes, trm_distance, trm_logits, tuple_count,
+                           trm_distance, trm_logits, tuple_count,
                            tuple_matrix, tuple_repr)
 
 
@@ -269,7 +269,7 @@ def test_trm_logits_uniform_when_supports_identical():
     shared = Tensor(rng.standard_normal((3, 3)))
     tape = Tape()
     logits = trm_logits(tape, query, [[shared]] * 4, tuples, params)
-    probs = tape.softmax_rows(tape.reshape(logits, (1, 4)))
+    probs = tape.softmax_last(tape.reshape(logits, (1, 4)))
     assert np.abs(probs.data - 0.25).max() <= 1e-9
 
 
@@ -291,18 +291,43 @@ def test_trm_logits_two_way_matches_distances():
 def test_trm_logits_same_for_clips_embeddings_and_block():
     rng = np.random.default_rng(15)
     params = {w: init_trm_params(w, 3, 4, seed_for) for w in (2, 3)}
+    qc = {w: init_qc_params(w, 3, 4, seed_for) for w in (2, 3)}
     tuples = {w: enumerate_tuples(4, [w]) for w in (2, 3)}
     classes = [[Tensor(rng.standard_normal((4, 3))) for _ in range(2)] for _ in range(3)]
     queries = [Tensor(rng.standard_normal((4, 3))) for _ in range(2)]
     tape = Tape()
     embeds = [embed_class_supports(tape, group, tuples, params) for group in classes]
-    block = stack_classes(tape, embeds, tuples, params)
+    block = Tensor(np.concatenate([clip.data for group in classes for clip in group]))
     batched = trm_logits(tape, tape.stack(queries), classes, tuples, params)
     assert batched.shape == (2, 3)
+    from_block = trm_logits(tape, tape.stack(queries), block, tuples, params, classes=3)
+    assert np.array_equal(from_block.data, batched.data)
+    batched_qc = qc_logits(tape, tape.stack(queries), classes, tuples, qc)
+    from_block_qc = qc_logits(tape, tape.stack(queries), block, tuples, qc, classes=3)
+    assert np.array_equal(from_block_qc.data, batched_qc.data)
     for q, query in enumerate(queries):
-        for supports in (classes, embeds, block):
+        for supports in (classes, embeds):
             logits = trm_logits(tape, query, supports, tuples, params)
             assert np.abs(logits.data - batched.data[q]).max() <= 1e-12
+        logits = trm_logits(tape, query, block, tuples, params, classes=3)
+        assert np.abs(logits.data - batched.data[q]).max() <= 1e-12
+
+
+def test_support_block_must_fit_its_classes():
+    rng = np.random.default_rng(16)
+    trm = {2: init_trm_params(2, 3, 4, seed_for)}
+    qc = {2: init_qc_params(2, 3, 4, seed_for)}
+    tuples = {2: enumerate_tuples(4, [2])}
+    query = Tensor(rng.standard_normal((4, 3)))
+    block = Tensor(rng.standard_normal((20, 3)))  # five clips of 4 frames
+    for classes in (None, 2, 3):
+        with pytest.raises(ShapeError):
+            trm_logits(Tape(), query, block, tuples, trm, classes=classes)
+        with pytest.raises(ShapeError):
+            qc_logits(Tape(), query, block, tuples, qc, classes=classes)
+    with pytest.raises(ShapeError, match="at least 2 classes"):
+        trm_logits(Tape(), query, block, tuples, trm, classes=1)
+    assert trm_logits(Tape(), query, block, tuples, trm, classes=5).shape == (5,)
 
 
 def test_unequal_class_sizes_rejected():
@@ -347,7 +372,7 @@ def test_qc_zero_projection_scores_zero():
     assert out.item() == 0.0
     tape = Tape()
     logits = qc_logits(tape, query, [[support]] * 3, tuples, params)
-    probs = tape.softmax_rows(tape.reshape(logits, (1, 3)))
+    probs = tape.softmax_last(tape.reshape(logits, (1, 3)))
     assert np.abs(probs.data - 1 / 3).max() <= 1e-12
 
 

@@ -1,13 +1,31 @@
 """Model assembly tests: config validation, parameter naming and seeding,
-and batched-vs-single enrichment equivalence."""
+batched-vs-single enrichment equivalence, and the block-valued episode path
+against the per-clip one."""
 
 import numpy as np
 import pytest
 
-from strm.diffcore import Tape, finite_diff_gradients, zero_grads
-from strm.episodes import EpisodeSpec, SyntheticSpec, generate_synthetic, sample_episode
-from strm.model import (ModelConfig, build_params, enrich_clip, enrich_clips,
-                        forward_episode, params_from_arrays, validate_against)
+from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
+from strm.enrichment import fle_forward, ple_forward
+from strm.episodes import (Episode, EpisodeSpec, SyntheticSpec, generate_synthetic,
+                           sample_episode)
+from strm.matching import qc_logits, trm_logits
+from strm.model import (ModelConfig, build_params, enrich_clips, forward_episode,
+                        params_from_arrays, validate_against)
+
+from test_diffcore import l2_norm
+
+
+def enrich_clip(tape, values, params, cfg):
+    """Single-clip reference enrichment: ple_forward on every frame, the
+    patch average, then fle_forward. Returns (pooled, enriched), each
+    [frames x channels]; with both stages off they are the pooled raw rows."""
+    frames = [Tensor(values.data[i]) for i in range(cfg.frames)]
+    if params.ple is not None:
+        frames = [ple_forward(tape, f, params.ple) for f in frames]
+    pooled = tape.stack([tape.mean(f, axis=0) for f in frames])
+    enriched = fle_forward(tape, pooled, params.fle) if params.fle is not None else pooled
+    return pooled, enriched
 
 
 def test_config_validation():
@@ -95,7 +113,7 @@ def test_enrich_clips_gradients_match_finite_differences(use_ple):
     def build(tape):
         pairs = enrich_clips(tape, values, params, cfg)
         rows = tape.concat([t for pair in pairs for t in pair], axis=0)
-        return tape.l2_norm(tape.reshape(rows, (rows.size,)))
+        return l2_norm(tape, rows)
 
     zero_grads(plist)
     tape = Tape()
@@ -131,3 +149,60 @@ def test_subsampled_tuple_sets_used_in_forward():
     assert len(sets[2]) == 7  # ceil(0.25 * 28)
     full = ModelConfig(seed=0).tuple_sets()
     assert len(full[2]) == 28
+
+
+def per_clip_loss(tape, episode, params, cfg):
+    """The joint episode loss through per-clip tensors: enrich_clips splits
+    the enriched block into clips, the queries are stacked again and every
+    class is a clip list."""
+    shots = [len(group) for group in episode.support]
+    values = [rec.features.values for group in episode.support for rec in group]
+    values += [rec.features.values for rec, _ in episode.queries]
+    pairs = enrich_clips(tape, values, params, cfg)
+    starts = np.cumsum([0] + shots)
+    classes = [pairs[starts[w]:starts[w + 1]] for w in range(len(shots))]
+    queries = pairs[starts[-1]:]
+    targets = [way for _, way in episode.queries]
+    tuples = cfg.tuple_sets()
+    tm = trm_logits(tape, tape.stack([e for _, e in queries]),
+                    [[e for _, e in group] for group in classes], tuples, params.trm)
+    tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
+    qc = qc_logits(tape, tape.stack([p for p, _ in queries]),
+                   [[p for p, _ in group] for group in classes], tuples, params.qc)
+    qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
+    return tape.add(tm_mean, tape.scale(qc_mean, cfg.qc_weight))
+
+
+@pytest.mark.parametrize("use_ple,use_fle", [(True, True), (False, False)])
+def test_block_path_loss_and_gradients_bit_identical_to_per_clip_path(use_ple, use_fle):
+    """Desk config (5-way 5-shot, L=8, P2=4, D=64, omega=2), seeded episode."""
+    ds = generate_synthetic(SyntheticSpec(num_classes=6, clips_per_class=7, seed=4))
+    episode = sample_episode(ds, EpisodeSpec(ways=5, shots=5, seed=21), 3)
+    cfg = ModelConfig(use_ple=use_ple, use_fle=use_fle, seed=21)
+    params = build_params(cfg)
+    plist = params.all()
+    runs = []
+    for build in (lambda tape: forward_episode(tape, episode, params, cfg).loss,
+                  lambda tape: per_clip_loss(tape, episode, params, cfg)):
+        zero_grads(plist)
+        tape = Tape()
+        loss = build(tape)
+        tape.backward(loss, plist)
+        runs.append((loss.data.tobytes(), [p.grad.tobytes() for p in plist]))
+    zero_grads(plist)
+    assert runs[0][0] == runs[1][0]
+    for p, block_grad, clip_grad in zip(plist, runs[0][1], runs[1][1]):
+        assert block_grad == clip_grad, p.name
+
+
+def test_unequal_shots_raise_naming_the_class():
+    ds = generate_synthetic(SyntheticSpec(num_classes=3, clips_per_class=4, frames=4,
+                                          patches=4, channels=8, seed=3))
+    cfg = ModelConfig(frames=4, patches=4, channels=8, refine_hidden=4,
+                      embed_dim=6, code_dim=4, seed=0)
+    episode = sample_episode(ds, EpisodeSpec(ways=3, shots=2, seed=0), 0)
+    episode = Episode(episode.class_labels,
+                      [episode.support[0], episode.support[1][:1], episode.support[2]],
+                      episode.queries)
+    with pytest.raises(ShapeError, match="class 1 has 1 support clips but class 0 has 2"):
+        forward_episode(Tape(), episode, build_params(cfg), cfg)

@@ -2,6 +2,7 @@
 metric-log determinism, and the whole-model gradient check."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,15 @@ import pytest
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
 from strm.episodes import EpisodeSpec, SyntheticSpec, filter_labels, \
     generate_synthetic, sample_episode
-from strm.matching import enumerate_tuples, qc_similarity, trm_distance
-from strm.model import (ModelConfig, build_params, enrich_clip, forward_episode,
+from strm.matching import (embed_class_supports, enumerate_tuples, qc_similarity,
+                           trm_distance, trm_logits)
+from strm.model import (ModelConfig, build_params, enrich_clips, forward_episode,
                         infer_config, params_from_arrays)
 from strm.training import (CheckpointFormatError, TrainConfig, evaluate,
                            format_metrics, gradcheck_model, load_checkpoint,
                            mean_pool_baseline, save_checkpoint, sgd_step, train)
+
+from test_model import enrich_clip
 
 TINY = dict(frames=4, patches=4, channels=8, refine_hidden=8, embed_dim=12,
             code_dim=6)
@@ -279,6 +283,41 @@ def test_evaluate_report_fields():
     assert rep.episodes == 20
 
 
+def per_query_accuracy(ds, params, cfg, spec, n_episodes):
+    """Accuracy and per-class accuracy with every query scored on its own by
+    trm_logits against per-class support embeddings."""
+    tuples = cfg.tuple_sets()
+    flags, per_class = [], {}
+    for counter in range(n_episodes):
+        episode = sample_episode(ds, spec, counter)
+        tape = Tape()
+        values = [rec.features.values for group in episode.support for rec in group]
+        values += [rec.features.values for rec, _ in episode.queries]
+        enriched = [e for _, e in enrich_clips(tape, values, params, cfg, need_pooled=False)]
+        shots = spec.shots
+        embeds = [embed_class_supports(tape, enriched[w * shots:(w + 1) * shots],
+                                       tuples, params.trm) for w in range(spec.ways)]
+        for (record, way), query in zip(episode.queries, enriched[spec.ways * shots:]):
+            logits = trm_logits(tape, query, embeds, tuples, params.trm)
+            flags.append(int(np.argmax(logits.data)) == way)
+            per_class.setdefault(record.label, []).append(flags[-1])
+    return (sum(flags) / len(flags),
+            [(label, float(np.mean(f))) for label, f in sorted(per_class.items())])
+
+
+@pytest.mark.parametrize("omegas,keep_ratio", [((2,), 1.0), ((2, 3), 1.0), ((2,), 0.2)])
+def test_evaluate_matches_per_query_scoring(omegas, keep_ratio):
+    ds = filter_labels(generate_synthetic(SyntheticSpec(seed=1)), range(10, 15))
+    cfg = ModelConfig(omegas=omegas, tuple_keep_ratio=keep_ratio, tuple_seed=1, seed=0)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=5, shots=3, queries_per_class=2, seed=777)
+    rep = evaluate(ds, params, cfg, spec, 12)
+    accuracy, per_class = per_query_accuracy(ds, params, cfg, spec, 12)
+    assert 0.0 < accuracy < 1.0
+    assert rep.accuracy == accuracy
+    assert rep.per_class_accuracy == per_class
+
+
 def test_mean_pool_baseline_at_chance_on_order_task():
     ds = generate_synthetic(SyntheticSpec(num_classes=5, clips_per_class=20,
                                           seed=2))
@@ -361,6 +400,25 @@ def test_checkpoint_corruption_detected(tmp_path):
     (tmp_path / "magic.stck").write_bytes(bytes(bad))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(tmp_path / "magic.stck")
+
+
+def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    cfg = ModelConfig(seed=0, **TINY)
+    path = tmp_path / "model.stck"
+    save_checkpoint(build_params(cfg), path)
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(build_params(replace(cfg, seed=1)), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.stck"]
+    monkeypatch.undo()
+    save_checkpoint(build_params(replace(cfg, seed=1)), path)
+    assert path.read_bytes() != before
 
 
 def test_checkpoint_nonfinite_value_names_parameter_and_index(tmp_path):
