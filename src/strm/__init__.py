@@ -16,9 +16,8 @@ from .episodes import (ClipRecord, Dataset, Episode, EpisodeSpec, FeatureClip,
                        load_dataset, sample_episode, save_clip)
 from .matching import (QCParams, TupleEmbedParams, enumerate_tuples,
                        qc_logits, qc_similarity, select_tuples, trm_distance,
-                       trm_logits, tuple_repr)
-from .model import (EpisodeScores, ModelConfig, ModelParams, build_params,
-                    forward_episode)
+                       trm_logits)
+from .model import ModelConfig, ModelParams, build_params, forward_episode
 from .training import (EvalReport, TrainConfig, evaluate, gradcheck_model,
                        load_checkpoint, mean_pool_baseline, save_checkpoint,
                        sgd_step, train)
@@ -32,8 +31,8 @@ __all__ = [
     "SyntheticSpec", "generate_synthetic", "load_clip", "load_dataset",
     "sample_episode", "save_clip",
     "QCParams", "TupleEmbedParams", "enumerate_tuples", "qc_logits",
-    "qc_similarity", "select_tuples", "trm_distance", "trm_logits", "tuple_repr",
-    "EpisodeScores", "ModelConfig", "ModelParams", "build_params", "forward_episode",
+    "qc_similarity", "select_tuples", "trm_distance", "trm_logits",
+    "ModelConfig", "ModelParams", "build_params", "forward_episode",
     "EvalReport", "TrainConfig", "evaluate", "gradcheck_model", "load_checkpoint",
     "mean_pool_baseline", "save_checkpoint", "sgd_step", "train",
 ]

@@ -205,12 +205,12 @@ def cmd_eval(args) -> int:
     if args.out:
         outdir = Path(args.out)
         _write_run_manifest(outdir, "eval", args, {"report": "report.json"})
-        (outdir / "report.json").write_text(json.dumps({
+        write_atomic(outdir / "report.json", (json.dumps({
             "accuracy": report.accuracy,
             "ci95_halfwidth": report.ci95_halfwidth,
             "episodes": report.episodes,
             "per_class_accuracy": report.per_class_accuracy,
-        }, indent=2) + "\n", encoding="utf-8")
+        }, indent=2) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -257,10 +257,9 @@ def cmd_gradcheck(args) -> int:
     if args.out:
         outdir = Path(args.out)
         _write_run_manifest(outdir, "gradcheck", args, {"table": "gradcheck.tsv"})
-        (outdir / "gradcheck.tsv").write_text(
-            "".join(f"{r.name}\t{r.max_rel_error:.17g}\t"
-                    f"{'pass' if r.passed else 'fail'}\n" for r in rows),
-            encoding="utf-8")
+        write_atomic(outdir / "gradcheck.tsv", "".join(
+            f"{r.name}\t{r.max_rel_error:.17g}\t"
+            f"{'pass' if r.passed else 'fail'}\n" for r in rows).encode("utf-8"))
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
@@ -307,7 +306,7 @@ def cmd_ablate(args) -> int:
     lines = "".join(f"{name}\t{report.accuracy:.17g}\t"
                     f"{report.ci95_halfwidth:.17g}\n"
                     for name, report, _ in results)
-    (outdir / "ablation.tsv").write_text(lines, encoding="utf-8")
+    write_atomic(outdir / "ablation.tsv", lines.encode("utf-8"))
     for name, report, variant_params in results:
         save_checkpoint(variant_params, outdir / f"checkpoint_{name.strip('+')}.stck")
     return EXIT_OK
@@ -319,7 +318,7 @@ def cmd_ablate(args) -> int:
 def _write_pgm(path: Path, grid: np.ndarray) -> None:
     side = grid.shape[0]
     header = f"P5\n{side} {side}\n255\n".encode("ascii")
-    path.write_bytes(header + grid.astype(np.uint8).tobytes())
+    write_atomic(path, header + grid.astype(np.uint8).tobytes())
 
 
 def cmd_attn_export(args) -> int:
@@ -343,15 +342,14 @@ def cmd_attn_export(args) -> int:
         scores, norms = ple_patch_diagnostics(clip.values.data[i], params.ple)
         norm_rows.append(norms)
         score_text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in scores)
-        (outdir / f"scores_{i:02d}.csv").write_text(score_text + "\n",
-                                                    encoding="utf-8")
+        write_atomic(outdir / f"scores_{i:02d}.csv", (score_text + "\n").encode("utf-8"))
     all_norms = np.stack(norm_rows)
     lo = float(all_norms.min())
     hi = float(all_norms.max())
     for i, norms in enumerate(norm_rows):
         grid = norms.reshape(side, side)
         csv_text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in grid)
-        (outdir / f"frame_{i:02d}.csv").write_text(csv_text + "\n", encoding="utf-8")
+        write_atomic(outdir / f"frame_{i:02d}.csv", (csv_text + "\n").encode("utf-8"))
         if hi - lo > 0.0:
             scaled = np.rint((grid - lo) / (hi - lo) * 255.0)
         else:

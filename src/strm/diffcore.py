@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from dataclasses import fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "NumericalError",
     "Tensor",
     "Param",
+    "ParamGroup",
     "Tape",
     "zero_grads",
     "seeded_init",
@@ -111,6 +113,14 @@ class Param:
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"
+
+
+class ParamGroup:
+    """Base of the dataclasses that group one stage's Params as fields."""
+
+    def all(self) -> list[Param]:
+        """Every Param, in field order (the order a checkpoint stores them)."""
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def zero_grads(params: Iterable[Param]) -> None:
@@ -211,18 +221,9 @@ class Tape:
     # -- structural ops -----------------------------------------------------
 
     def transpose(self, x: Tensor) -> Tensor:
-        _need_rank(x, 2, "transpose")
-        out = Tensor(x.data.T.copy())
-
-        def backward(g, adj):
-            _accum(adj, x, g.T)
-
-        return self._record(out, backward)
-
-    def transpose_last2(self, x: Tensor) -> Tensor:
-        """Swap the last two axes (batched transpose)."""
+        """Swap the last two axes (a batched transpose for rank > 2)."""
         if x.ndim < 2:
-            raise ShapeError(f"transpose_last2 needs rank >= 2, got {x.shape}")
+            raise ShapeError(f"transpose needs rank >= 2, got {x.shape}")
         out = Tensor(np.swapaxes(x.data, -1, -2).copy())
 
         def backward(g, adj):
@@ -286,22 +287,17 @@ class Tape:
 
         return self._record(out, backward)
 
-    def gather_rows(self, x: Tensor, rows: Sequence[int]) -> Tensor:
-        _need_rank(x, 2, "gather_rows")
-        idx = np.asarray(list(rows), dtype=np.intp)
-        if idx.size == 0:
-            raise ShapeError("gather_rows needs at least one row index")
-        if idx.min() < 0 or idx.max() >= x.shape[0]:
-            raise IndexError(f"row index out of range for {x.shape[0]} rows: {list(rows)}")
-        out = Tensor(x.data[idx])
-        unique = idx.size == np.unique(idx).size  # plain fancy-index add is safe
+    def slice_rows(self, x: Tensor, start: int, stop: int) -> Tensor:
+        """Rows start..stop-1 of a matrix, as a view: tensors are never mutated."""
+        _need_rank(x, 2, "slice_rows")
+        if not 0 <= start < stop <= x.shape[0]:
+            raise IndexError(f"row span [{start}, {stop}) empty or out of range "
+                             f"for {x.shape[0]} rows")
+        out = Tensor(x.data[start:stop])
 
         def backward(g, adj):
             d = np.zeros(x.shape, dtype=np.float64)
-            if unique:
-                d[idx] = g
-            else:
-                np.add.at(d, idx, g)
+            d[start:stop] = g
             _accum(adj, x, d)
 
         return self._record(out, backward)
@@ -378,26 +374,31 @@ class Tape:
         if probs.ndim not in (1, 2):
             raise ShapeError(f"cross_entropy expects rank-1 or rank-2 input, got {probs.shape}")
         rows = probs.data.reshape(-1, probs.shape[-1])
-        targets = [int(t) for t in np.reshape(target, -1)]
-        if len(targets) != len(rows):
+        targets = np.reshape(target, -1).astype(np.intp)
+        if targets.size != len(rows):
             raise ShapeError(f"cross_entropy needs one target per row, got "
-                             f"{len(targets)} for shape {probs.shape}")
-        picked = []
-        for row, target in zip(rows, targets):
-            total = float(row.sum())
-            if not np.isfinite(row).all() or abs(total - 1.0) > 1e-9:
-                raise ValueError(f"cross_entropy input is not a distribution (sum={total!r})")
-            if not 0 <= target < len(row):
-                raise IndexError(f"target {target} out of range for {len(row)} classes")
-            picked.append(float(row[target]))
-        clamped = [max(p, 1e-12) for p in picked]
-        out = Tensor(np.reshape([-math.log(c) for c in clamped], probs.shape[:-1]))
+                             f"{targets.size} for shape {probs.shape}")
+        totals = rows.sum(axis=1)
+        bad = ~np.isfinite(rows).all(axis=1) | (np.abs(totals - 1.0) > 1e-9)
+        if bad.any():
+            raise ValueError(f"cross_entropy input is not a distribution "
+                             f"(sum={float(totals[bad.argmax()])!r})")
+        bad = (targets < 0) | (targets >= rows.shape[1])
+        if bad.any():
+            raise IndexError(f"target {int(targets[bad.argmax()])} out of range "
+                             f"for {rows.shape[1]} classes")
+        at = (np.arange(len(rows)), targets)
+        picked = rows[at]
+        clamped = np.maximum(picked, 1e-12)
+        # math.log, not np.log: numpy's AVX-512 log is 1 ulp off on about 0.3%
+        # of inputs, which would change the loss bits.
+        logs = np.fromiter(map(math.log, clamped), np.float64, len(clamped))
+        out = Tensor(np.reshape(-logs, probs.shape[:-1]))
 
         def backward(g, adj):
             d = np.zeros(rows.shape, dtype=np.float64)
-            for i, (t, p, c, gi) in enumerate(zip(targets, picked, clamped, np.reshape(g, -1))):
-                if p >= 1e-12:  # below the clamp the loss is locally constant
-                    d[i, t] = -float(gi) / c
+            # below the clamp the loss is locally constant
+            d[at] = np.where(picked >= 1e-12, -np.reshape(g, -1) / clamped, 0.0)
             _accum(adj, probs, d.reshape(probs.shape))
 
         return self._record(out, backward)

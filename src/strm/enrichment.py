@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Param, ShapeError, Tape, Tensor, seeded_init
+from .diffcore import Param, ParamGroup, ShapeError, Tape, Tensor, seeded_init
 
 __all__ = [
     "PLEParams",
@@ -29,7 +29,7 @@ __all__ = [
 
 
 @dataclass
-class PLEParams:
+class PLEParams(ParamGroup):
     """Weights for patch-level enrichment: attention projections plus a
     three-layer pointwise refiner (no biases anywhere)."""
 
@@ -40,17 +40,13 @@ class PLEParams:
     refine2: Param  # hidden x hidden
     refine3: Param  # hidden x D
 
-    def all(self) -> list[Param]:
-        return [self.query_proj, self.key_proj, self.value_proj,
-                self.refine1, self.refine2, self.refine3]
-
     @property
     def channels(self) -> int:
         return self.query_proj.value.shape[0]
 
 
 @dataclass
-class FLEParams:
+class FLEParams(ParamGroup):
     """Weights for frame-level enrichment: two frame-mixing matrices shared
     across channels, then two channel-mixing matrices shared across frames."""
 
@@ -58,9 +54,6 @@ class FLEParams:
     token_mix2: Param  # L x L
     channel_mix1: Param  # D x D
     channel_mix2: Param  # D x D
-
-    def all(self) -> list[Param]:
-        return [self.token_mix1, self.token_mix2, self.channel_mix1, self.channel_mix2]
 
     @property
     def frames(self) -> int:
@@ -118,7 +111,7 @@ def _ple_core(tape: Tape, frames: Tensor,
                       1.0 / math.sqrt(channels))
     k = tape.reshape(tape.matmul(flat, fold), frames.shape)
     v = tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)
-    scores = tape.bmm(frames, tape.transpose_last2(k))
+    scores = tape.bmm(frames, tape.transpose(k))
     attended = tape.add(tape.bmm(tape.softmax_last(scores), v), frames)
     flat_att = tape.reshape(attended, (n * n_patches, channels))
     hidden = tape.relu(tape.matmul(flat_att, params.refine1.value))
@@ -182,14 +175,14 @@ def fle_forward_batch(tape: Tape, clips: Tensor, params: FLEParams) -> Tensor:
             f"got {clips.shape}")
     n = clips.shape[0]
     frames, channels = params.frames, params.channels
-    flipped = tape.reshape(tape.transpose_last2(clips), (n * channels, frames))
+    flipped = tape.reshape(tape.transpose(clips), (n * channels, frames))
     mixed = tape.add(
         tape.matmul(tape.relu(tape.matmul(flipped, params.token_mix1.value)),
                     params.token_mix2.value),
         flipped,
     )
     unflipped = tape.reshape(
-        tape.transpose_last2(tape.reshape(mixed, (n, channels, frames))),
+        tape.transpose(tape.reshape(mixed, (n, channels, frames))),
         (n * frames, channels))
     out = tape.add(
         tape.matmul(tape.relu(tape.matmul(unflipped, params.channel_mix1.value)),

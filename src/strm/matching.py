@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Param, ShapeError, Tape, Tensor, seeded_init
+from .diffcore import Param, ParamGroup, ShapeError, Tape, Tensor, seeded_init
 
 __all__ = [
     "TupleIndex",
@@ -31,8 +31,6 @@ __all__ = [
     "enumerate_tuples",
     "tuple_count",
     "select_tuples",
-    "tuple_repr",
-    "tuple_matrix",
     "project_tuples",
     "check_class_sizes",
     "ClassSupportEmbeds",
@@ -48,15 +46,12 @@ TupleIndex = tuple[int, ...]  # strictly increasing zero-based frame indices
 
 
 @dataclass
-class TupleEmbedParams:
+class TupleEmbedParams(ParamGroup):
     """Key/value projections from concatenated tuple features, one pair per
     tuple cardinality."""
 
     key_proj: Param  # (omega * D) x embed_dim
     value_proj: Param  # (omega * D) x embed_dim
-
-    def all(self) -> list[Param]:
-        return [self.key_proj, self.value_proj]
 
     @property
     def embed_dim(self) -> int:
@@ -64,13 +59,10 @@ class TupleEmbedParams:
 
 
 @dataclass
-class QCParams:
+class QCParams(ParamGroup):
     """Projection of concatenated tuple features to ReLU codes, per cardinality."""
 
     class_proj: Param  # (omega * D) x code_dim
-
-    def all(self) -> list[Param]:
-        return [self.class_proj]
 
 
 def init_trm_params(omega: int, channels: int, embed_dim: int, seed_for) -> TupleEmbedParams:
@@ -138,20 +130,6 @@ def select_tuples(
     return out
 
 
-def tuple_repr(tape: Tape, frames: Tensor, t: TupleIndex) -> Tensor:
-    """Concatenate the selected frame rows, in tuple order, into one vector."""
-    gathered = tape.gather_rows(frames, t)
-    return tape.reshape(gathered, (len(t) * frames.shape[1],))
-
-
-def tuple_matrix(tape: Tape, frames: Tensor, tuples: Sequence[TupleIndex]) -> Tensor:
-    """All tuple representations stacked: row i is tuple i's concatenated frames."""
-    omega = len(tuples[0])
-    flat_idx = [i for t in tuples for i in t]
-    gathered = tape.gather_rows(frames, flat_idx)
-    return tape.reshape(gathered, (len(tuples), omega * frames.shape[1]))
-
-
 def _selection(tuples: Sequence[TupleIndex], frames: int) -> np.ndarray:
     """Constant one-hot [omega x tuples x frames]: slice j picks frame t_j of
     every tuple t."""
@@ -172,7 +150,8 @@ def project_tuples(
     tuples: Sequence[TupleIndex],
 ) -> Tensor:
     """Projection of every tuple representation of every clip,
-    [clips x tuples x width]; row t of clip c equals tuple_matrix(...) @ weight.
+    [clips x tuples x width]; row t of clip c is the tuple's frame rows,
+    concatenated, times weight.
 
     `frames` holds the clips' frame rows back to back, [clips * clip_frames x D].
     A tuple row concat(f_t1..f_tw) @ W is sum_j f_tj @ W_j, with W_j the j-th
@@ -212,6 +191,16 @@ def _clip_block(tape: Tape, clips: Sequence[Tensor]) -> tuple[Tensor, int]:
     return _concat_rows(tape, clips), shape[0]
 
 
+def _one_class(tape: Tape, query_frames: Tensor, support_frames: Sequence[Tensor]) -> Tensor:
+    """One class's support clips as a block of frame rows; each clip must have
+    as many frames as the query clip [L x D]."""
+    block, frames = _clip_block(tape, support_frames)
+    if query_frames.ndim != 2 or query_frames.shape[0] != frames:
+        raise ShapeError(f"support clips have {frames} frames, the query has shape "
+                         f"{query_frames.shape}")
+    return block
+
+
 def _query_block(tape: Tape, query_frames: Tensor) -> tuple[Tensor, int, int]:
     """Frame rows of one query [L x D] or a query block [Q x L x D], with Q and L."""
     if query_frames.ndim == 2:
@@ -230,34 +219,13 @@ def check_class_sizes(sizes: Sequence[int]) -> None:
                              f"{sizes[0]}; every class needs the same number")
 
 
-def _class_rows(
-    tape: Tape,
-    class_supports: Sequence[Sequence[Tensor]] | Tensor,
-    classes: int | None,
-    frames: int,
-) -> tuple[Tensor, int]:
-    """Class-major support frame rows [classes * clips * frames x D] and the
-    class count, from such a block with its count or from per-class clip
-    lists of one length (concatenated)."""
-    if not isinstance(class_supports, Tensor):
-        check_class_sizes([len(group) for group in class_supports])
-        classes = len(class_supports)
-        class_supports, clip_frames = _clip_block(
-            tape, [clip for group in class_supports for clip in group])
-        if clip_frames != frames:
-            raise ShapeError(f"support clips have {clip_frames} frames, the query {frames}")
-    if classes is None or classes < 1 or class_supports.ndim != 2 \
-            or class_supports.shape[0] % (classes * frames) != 0:
-        raise ShapeError(f"support block {class_supports.shape} does not hold "
+def _check_block(block: Tensor, classes: int | None, frames: int) -> None:
+    """A class-major support block [classes * clips * frames x D] holds each
+    class as an equal run of whole clips."""
+    if classes is None or classes < 1 or block.ndim != 2 \
+            or block.shape[0] % (classes * frames) != 0:
+        raise ShapeError(f"support block {block.shape} does not hold "
                          f"{classes} classes of equal clips of {frames} frames")
-    return class_supports, classes
-
-
-def _check_class_count(class_supports: Sequence | Tensor, classes: int | None) -> None:
-    """Logits compare classes: at least two of them."""
-    count = classes if isinstance(class_supports, Tensor) else len(class_supports)
-    if count is not None and count < 2:
-        raise ShapeError("need at least 2 classes")
 
 
 @dataclass
@@ -304,7 +272,7 @@ def embed_class_supports(
 def _trm_distances(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Sequence[Sequence[Tensor]] | Sequence[ClassSupportEmbeds] | Tensor,
+    class_supports: Tensor | Sequence[ClassSupportEmbeds],
     classes: int | None,
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
@@ -312,10 +280,9 @@ def _trm_distances(
     """Matching distances [classes x queries] from one query or a query block
     to every class."""
     rows, queries, frames = _query_block(tape, query_frames)
-    if isinstance(class_supports, Tensor) or \
-            not all(isinstance(s, ClassSupportEmbeds) for s in class_supports):
-        block, classes = _class_rows(tape, class_supports, classes, frames)
-        pooled = _embed_rows(tape, block, frames, tuple_sets, trm_params)
+    if isinstance(class_supports, Tensor):
+        _check_block(class_supports, classes, frames)
+        pooled = _embed_rows(tape, class_supports, frames, tuple_sets, trm_params)
         keys, values = pooled.keys, pooled.values
     else:
         classes = len(class_supports)
@@ -331,7 +298,7 @@ def _trm_distances(
         return tape.reshape(x, (classes, x.shape[0] // classes, x.shape[1]))
 
     # keys transposed for the attention product: [classes x embed_dim x clips * tuples]
-    keys_t = {w: tape.transpose_last2(per_class(k)) for w, k in keys.items()}
+    keys_t = {w: tape.transpose(per_class(k)) for w, k in keys.items()}
     values = {w: per_class(v) for w, v in values.items()}
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
@@ -369,14 +336,15 @@ def trm_distance(
     embedding and the prototype is averaged per cardinality, then summed
     over cardinalities.
     """
-    return tape.reshape(_trm_distances(tape, query_frames, [support_frames], None,
+    block = _one_class(tape, query_frames, support_frames)
+    return tape.reshape(_trm_distances(tape, query_frames, block, 1,
                                        tuple_sets, trm_params), ())
 
 
 def trm_logits(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Sequence[Sequence[Tensor]] | Sequence[ClassSupportEmbeds] | Tensor,
+    class_supports: Tensor | Sequence[ClassSupportEmbeds],
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
     classes: int | None = None,
@@ -384,11 +352,13 @@ def trm_logits(
     """Per-class logits, the negative matching distances: [classes] for one
     query clip [L x D], [Q x classes] for a query block [Q x L x D].
 
-    Classes come as support clip lists or per-class embeddings (one per
-    class, all with the same number of clips), or as one class-major support
-    block of frame rows [classes * clips * L x D] with `classes` given.
+    Classes come as one class-major support block of frame rows
+    [classes * clips * L x D] with `classes` given, or as per-class
+    embeddings, all of the same number of clips.
     """
-    _check_class_count(class_supports, classes)
+    count = classes if isinstance(class_supports, Tensor) else len(class_supports)
+    if count is not None and count < 2:
+        raise ShapeError("need at least 2 classes")
     dist = _trm_distances(tape, query_frames, class_supports, classes,
                           tuple_sets, trm_params)
     per_query = (tape.reshape(dist, (dist.shape[0],)) if query_frames.ndim == 2
@@ -427,16 +397,15 @@ def encode_class_supports(
 def _qc_similarities(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Sequence[Sequence[Tensor]] | Tensor,
+    support: Tensor,
     classes: int | None,
     tuple_sets: dict[int, list[TupleIndex]],
     qc_params: dict[int, QCParams],
 ) -> Tensor:
     """Similarities [queries x classes] from one query or a query block to
-    every class, given as clip lists (encoded together in one pass) or as a
-    class-major support block of frame rows with its class count."""
+    every class of a class-major support block of frame rows."""
     block, queries, frames = _query_block(tape, query_frames)
-    support, classes = _class_rows(tape, class_supports, classes, frames)
+    _check_block(support, classes, frames)
     codes = _encode_rows(tape, support, frames, tuple_sets, qc_params)
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
@@ -466,26 +435,25 @@ def qc_similarity(
     tuples (zero-norm codes score 0), matches are averaged per cardinality
     and summed over cardinalities.
     """
-    return tape.reshape(_qc_similarities(tape, query_frames, [support_frames], None,
+    block = _one_class(tape, query_frames, support_frames)
+    return tape.reshape(_qc_similarities(tape, query_frames, block, 1,
                                          tuple_sets, qc_params), ())
 
 
 def qc_logits(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Sequence[Sequence[Tensor]] | Tensor,
+    support: Tensor,
     tuple_sets: dict[int, list[TupleIndex]],
     qc_params: dict[int, QCParams],
     classes: int | None = None,
 ) -> Tensor:
     """Per-class similarity logits: [classes] for one query clip [L x D],
-    [Q x classes] for a query block [Q x L x D].
-
-    Classes come as support clip lists, all of the same length, or as one
-    class-major support block of frame rows [classes * clips * L x D] with
-    `classes` given.
+    [Q x classes] for a query block [Q x L x D], against one class-major
+    support block of frame rows [classes * clips * L x D] of `classes` classes.
     """
-    _check_class_count(class_supports, classes)
-    sims = _qc_similarities(tape, query_frames, class_supports, classes,
+    if classes is not None and classes < 2:
+        raise ShapeError("need at least 2 classes")
+    sims = _qc_similarities(tape, query_frames, support, classes,
                             tuple_sets, qc_params)
     return tape.reshape(sims, (sims.shape[1],)) if query_frames.ndim == 2 else sims

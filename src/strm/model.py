@@ -4,7 +4,7 @@ forward pass producing the joint training loss."""
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,7 +19,6 @@ from .matching import QCParams, TupleEmbedParams, TupleIndex
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "EpisodeScores",
     "ForwardResult",
     "build_params",
     "params_from_arrays",
@@ -140,28 +139,17 @@ def params_from_arrays(arrays: dict[str, np.ndarray]) -> ModelParams:
             raise KeyError(f"missing parameter {name}")
         return Param(name, Tensor(arrays[name]))
 
-    ple = None
-    if any(n.startswith("ple.") for n in arrays):
-        ple = PLEParams(
-            query_proj=take("ple.query_proj"), key_proj=take("ple.key_proj"),
-            value_proj=take("ple.value_proj"), refine1=take("ple.refine1"),
-            refine2=take("ple.refine2"), refine3=take("ple.refine3"),
-        )
-    fle = None
-    if any(n.startswith("fle.") for n in arrays):
-        fle = FLEParams(
-            token_mix1=take("fle.token_mix1"), token_mix2=take("fle.token_mix2"),
-            channel_mix1=take("fle.channel_mix1"), channel_mix2=take("fle.channel_mix2"),
-        )
+    def group(cls, prefix: str):
+        return cls(*(take(f"{prefix}.{f.name}") for f in fields(cls)))
+
+    ple = group(PLEParams, "ple") if any(n.startswith("ple.") for n in arrays) else None
+    fle = group(FLEParams, "fle") if any(n.startswith("fle.") for n in arrays) else None
     trm_omegas = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("trm.")})
     if not trm_omegas:
         raise KeyError("no tuple-matching parameters found")
-    trm = {omega: TupleEmbedParams(key_proj=take(f"trm.{omega}.key_proj"),
-                                   value_proj=take(f"trm.{omega}.value_proj"))
-           for omega in trm_omegas}
+    trm = {omega: group(TupleEmbedParams, f"trm.{omega}") for omega in trm_omegas}
     qc_omegas = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("qc.")})
-    qc = {omega: QCParams(class_proj=take(f"qc.{omega}.class_proj"))
-          for omega in qc_omegas}
+    qc = {omega: group(QCParams, f"qc.{omega}") for omega in qc_omegas}
     return ModelParams(ple=ple, fle=fle, trm=trm, qc=qc)
 
 
@@ -208,18 +196,14 @@ def validate_against(params: ModelParams, config: ModelConfig) -> None:
 
 
 @dataclass
-class EpisodeScores:
-    """Per-query class logits, copied off the tape; similarity logits are None
-    when that head is off."""
-
-    trm_logits: Tensor
-    qc_logits: Tensor | None
-
-
-@dataclass
 class ForwardResult:
+    """The episode loss, and every query's logits against every class as
+    [queries x classes] arrays; similarity logits are None when that head is
+    off."""
+
     loss: Tensor
-    scores: list[EpisodeScores]
+    trm_logits: np.ndarray
+    qc_logits: np.ndarray | None
     loss_tm: float
     loss_qc: float
 
@@ -258,18 +242,18 @@ def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
                  config: ModelConfig,
                  need_pooled: bool = True) -> list[tuple[Tensor | None, Tensor]]:
     """Per-clip (pooled, enriched) [frames x channels] pairs: enrich_block
-    split by row gathers. Pooled is None when not requested."""
+    split into row slices. Pooled is None when not requested."""
     pooled_all, enriched_all = enrich_block(tape, clips, params, config)
     out: list[tuple[Tensor | None, Tensor]] = []
     for i in range(len(clips)):
-        rows = range(i * config.frames, (i + 1) * config.frames)
-        enriched = tape.gather_rows(enriched_all, rows)
+        start, stop = i * config.frames, (i + 1) * config.frames
+        enriched = tape.slice_rows(enriched_all, start, stop)
         if not need_pooled:
             out.append((None, enriched))
         elif pooled_all is enriched_all:
             out.append((enriched, enriched))
         else:
-            out.append((tape.gather_rows(pooled_all, rows), enriched))
+            out.append((tape.slice_rows(pooled_all, start, stop), enriched))
     return out
 
 
@@ -280,22 +264,22 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
     matching logits on the enriched frames, and similarity logits on the
     pooled frames (None unless use_qc and the similarity head is on).
 
-    The whole episode is enriched as one block; one contiguous row gather
-    per block takes out the class-major support rows and one the query rows.
+    The whole episode is enriched as one block; one row slice per block takes
+    out the class-major support rows and one the query rows.
     """
     shots = [len(way_clips) for way_clips in episode.support]
     matching.check_class_sizes(shots)
     clips = [rec.features.values for way_clips in episode.support for rec in way_clips]
     clips += [rec.features.values for rec, _ in episode.queries]
     pooled, enriched = enrich_block(tape, clips, params, config)
-    support_rows = range(sum(shots) * config.frames)
-    query_rows = range(len(support_rows), len(clips) * config.frames)
+    support_rows = sum(shots) * config.frames
     query_shape = (len(episode.queries), config.frames, config.channels)
     tuple_sets = config.tuple_sets()
 
     def split(block: Tensor) -> tuple[Tensor, Tensor]:
-        return (tape.gather_rows(block, support_rows),
-                tape.reshape(tape.gather_rows(block, query_rows), query_shape))
+        return (tape.slice_rows(block, 0, support_rows),
+                tape.reshape(tape.slice_rows(block, support_rows, block.shape[0]),
+                             query_shape))
 
     support, queries = split(enriched)
     tm = matching.trm_logits(tape, queries, support, tuple_sets, params.trm,
@@ -309,7 +293,7 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
 
 def forward_episode(tape: Tape, episode: Episode, params: ModelParams,
                     config: ModelConfig) -> ForwardResult:
-    """Joint loss and per-query scores for one episode.
+    """Joint loss and every query's logits for one episode.
 
     Matching logits are negative tuple distances on the temporally enriched
     features; similarity logits come from the pooled features. The loss is
@@ -319,11 +303,8 @@ def forward_episode(tape: Tape, episode: Episode, params: ModelParams,
     targets = [way for _, way in episode.queries]
     tm, qc = score_episode(tape, episode, params, config)
     tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
-    scores = [EpisodeScores(trm_logits=Tensor(tm.data[q]),
-                            qc_logits=None if qc is None else Tensor(qc.data[q]))
-              for q in range(len(targets))]
     if qc is None:
-        return ForwardResult(tm_mean, scores, tm_mean.item(), 0.0)
+        return ForwardResult(tm_mean, tm.data, None, tm_mean.item(), 0.0)
     qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
     loss = tape.add(tm_mean, tape.scale(qc_mean, config.qc_weight))
-    return ForwardResult(loss, scores, tm_mean.item(), qc_mean.item())
+    return ForwardResult(loss, tm.data, qc.data, tm_mean.item(), qc_mean.item())

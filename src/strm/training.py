@@ -86,31 +86,34 @@ def sgd_step(params: Iterable[Param], learning_rate: float,
         p.zero_grad()
 
 
+def _report(flags: Sequence[tuple[int, int]], episodes: int) -> EvalReport:
+    """Accuracy, its 95% half-width 1.96 * sqrt(p * (1 - p) / n) and the
+    per-class accuracy of n scored queries, from one (label, hit) pair each."""
+    per_class: dict[int, list[int]] = {}
+    for label, hit in flags:
+        per_class.setdefault(label, []).append(hit)
+    accuracy = sum(hit for _, hit in flags) / len(flags)
+    ci = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / len(flags))
+    per_class_accuracy = [(label, float(np.mean(hits)))
+                          for label, hits in sorted(per_class.items())]
+    return EvalReport(accuracy=accuracy, ci95_halfwidth=ci, episodes=episodes,
+                      per_class_accuracy=per_class_accuracy)
+
+
 def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
              spec: EpisodeSpec, n_episodes: int) -> EvalReport:
     """Accuracy of matching-head predictions over freshly sampled episodes.
 
     Predictions use the matching logits only; ties resolve to the lowest
-    class index. The half-width is 1.96 * sqrt(p * (1 - p) / n) over all
-    scored queries.
+    class index. The half-width is taken over all scored queries.
     """
-    hits = 0
-    total = 0
-    per_class: dict[int, list[int]] = {}
+    flags: list[tuple[int, int]] = []
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
         logits, _ = model.score_episode(Tape(), episode, params, config, use_qc=False)
-        for (record, way), pred in zip(episode.queries, np.argmax(logits.data, axis=1)):
-            correct = int(pred == way)
-            hits += correct
-            total += 1
-            per_class.setdefault(record.label, []).append(correct)
-    accuracy = hits / total
-    ci = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / total)
-    per_class_accuracy = [(label, float(np.mean(flags)))
-                          for label, flags in sorted(per_class.items())]
-    return EvalReport(accuracy=accuracy, ci95_halfwidth=ci, episodes=n_episodes,
-                      per_class_accuracy=per_class_accuracy)
+        flags += [(record.label, int(pred == way)) for (record, way), pred
+                  in zip(episode.queries, np.argmax(logits.data, axis=1))]
+    return _report(flags, n_episodes)
 
 
 def mean_pool_baseline(dataset: Dataset, spec: EpisodeSpec, n_episodes: int) -> EvalReport:
@@ -119,9 +122,7 @@ def mean_pool_baseline(dataset: Dataset, spec: EpisodeSpec, n_episodes: int) -> 
     Each clip is reduced to its mean over frames and patches, so any purely
     temporal class structure is invisible to it.
     """
-    hits = 0
-    total = 0
-    per_class: dict[int, list[int]] = {}
+    flags: list[tuple[int, int]] = []
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
         prototypes = np.stack([
@@ -132,16 +133,8 @@ def mean_pool_baseline(dataset: Dataset, spec: EpisodeSpec, n_episodes: int) -> 
         for record, way in episode.queries:
             pooled = record.features.values.data.mean(axis=(0, 1))
             dists = np.linalg.norm(prototypes - pooled[None, :], axis=1)
-            correct = int(int(np.argmin(dists)) == way)
-            hits += correct
-            total += 1
-            per_class.setdefault(record.label, []).append(correct)
-    accuracy = hits / total
-    ci = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / total)
-    per_class_accuracy = [(label, float(np.mean(flags)))
-                          for label, flags in sorted(per_class.items())]
-    return EvalReport(accuracy=accuracy, ci95_halfwidth=ci, episodes=n_episodes,
-                      per_class_accuracy=per_class_accuracy)
+            flags.append((record.label, int(int(np.argmin(dists)) == way)))
+    return _report(flags, n_episodes)
 
 
 @dataclass

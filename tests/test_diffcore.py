@@ -188,6 +188,29 @@ def test_cross_entropy_rows_match_vector_form():
         tape.cross_entropy(Tensor(probs), [1])
 
 
+def test_cross_entropy_rejects_bad_rows_and_targets():
+    probs = Tensor([[0.7, 0.2, 0.1], [0.5, 0.25, 0.125]])
+    with pytest.raises(ValueError, match=r"distribution \(sum=0\.875\)"):
+        Tape().cross_entropy(probs, [0, 0])
+    good = Tensor([[0.7, 0.2, 0.1], [0.25, 0.25, 0.5]])
+    for targets in ([0, 3], [-1, 0]):
+        with pytest.raises(IndexError, match="out of range for 3 classes"):
+            Tape().cross_entropy(good, targets)
+    with pytest.raises(IndexError):
+        Tape().cross_entropy(Tensor([0.5, 0.5]), 2)
+
+
+def test_cross_entropy_clamped_row_is_finite_without_gradient():
+    p = as_param("p", [[1.0, 0.0], [0.4, 0.6]])
+
+    def loss(tape):
+        return tape.mean(tape.cross_entropy(p.value, [1, 1]), axis=0)
+
+    assert loss(Tape()).item() == 0.5 * (-math.log(1e-12) - math.log(0.6))
+    grads = tape_grads(loss, [p])
+    assert np.array_equal(grads["p"], [[0.0, 0.0], [0.0, -0.5 / 0.6]])
+
+
 def test_cross_entropy_gradient():
     p = as_param("p", [0.6, 0.3, 0.1])
 
@@ -254,16 +277,16 @@ def _scalarize(tape, out):
 OP_SCENARIOS = {
     "matmul": lambda tape, p: tape.matmul(p[0].value, p[1].value),
     "bmm": lambda tape, p: tape.bmm(p[2].value, p[3].value),
+    # a matrix; "transpose_last2" covers a batch of matrices
     "transpose": lambda tape, p: tape.transpose(p[0].value),
-    "transpose_last2": lambda tape, p: tape.transpose_last2(p[2].value),
+    "transpose_last2": lambda tape, p: tape.transpose(p[2].value),
     "add": lambda tape, p: tape.add(p[0].value, p[0].value),
     "sub": lambda tape, p: tape.sub(p[0].value, p[4].value),
     "scale": lambda tape, p: tape.scale(p[0].value, -1.7),
     "concat": lambda tape, p: tape.concat([p[0].value, p[4].value], axis=1),
     "stack": lambda tape, p: tape.stack([p[0].value, p[4].value]),
     "reshape": lambda tape, p: tape.reshape(p[0].value, (p[0].value.size,)),
-    "gather_rows": lambda tape, p: tape.gather_rows(
-        p[0].value, [1, 0, 1, p[0].value.shape[0] - 1]),
+    "slice_rows": lambda tape, p: tape.slice_rows(p[0].value, 1, p[0].value.shape[0]),
     "combine_rows": lambda tape, p: tape.combine_rows(
         tape.stack([p[2].value, tape.scale(p[2].value, 0.5)]),
         np.eye(p[2].value.shape[1])[[[1, 0, 1], [0, 0, p[2].value.shape[1] - 1]]]),
@@ -314,6 +337,13 @@ def test_op_adjoint_matches_finite_differences(op, seed):
 
     errs = relative_errors(loss, params, step=1e-5)
     assert max(errs.values()) <= 1e-5, errs
+
+
+def test_every_tape_op_has_an_adjoint_scenario():
+    """A scenario key names the op it checks, optionally with a digit suffix."""
+    ops = {name for name, member in vars(Tape).items()
+           if callable(member) and not name.startswith("_")} - {"backward"}
+    assert ops - {key.rstrip("0123456789") for key in OP_SCENARIOS} == set()
 
 
 # -- finite-difference oracle itself -------------------------------------------
@@ -427,9 +457,11 @@ def test_backward_requires_scalar_loss():
         tape.backward(out, [])
 
 
-def test_gather_rows_out_of_range():
-    with pytest.raises(IndexError):
-        Tape().gather_rows(Tensor(np.ones((2, 2))), [0, 2])
+def test_slice_rows_out_of_range():
+    x = Tensor(np.ones((2, 2)))
+    for start, stop in ((0, 3), (-1, 1), (1, 1), (2, 1)):
+        with pytest.raises(IndexError):
+            Tape().slice_rows(x, start, stop)
 
 
 # -- heap policy ---------------------------------------------------------------------

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
-from strm.matching import (embed_class_supports, enumerate_tuples,
-                           init_qc_params, init_trm_params, project_tuples,
-                           qc_logits, qc_similarity, select_tuples,
-                           trm_distance, trm_logits, tuple_count,
-                           tuple_matrix, tuple_repr)
+from strm.matching import (check_class_sizes, embed_class_supports,
+                           enumerate_tuples, init_qc_params, init_trm_params,
+                           project_tuples, qc_logits, qc_similarity,
+                           select_tuples, trm_distance, trm_logits, tuple_count)
 
 
 def seed_for(name):
@@ -25,6 +24,22 @@ def recursive_tuples(frames, omega, start=0):
     return [(i,) + rest
             for i in range(start, frames)
             for rest in recursive_tuples(frames, omega - 1, i + 1)]
+
+
+def tuple_repr(tape, frames, t):
+    """Oracle: the selected frame rows, in tuple order, as one vector."""
+    rows = tape.concat([tape.slice_rows(frames, i, i + 1) for i in t], axis=0)
+    return tape.reshape(rows, (len(t) * frames.shape[1],))
+
+
+def tuple_matrix(tape, frames, tuples):
+    """Oracle: every tuple representation, one per row."""
+    return tape.stack([tuple_repr(tape, frames, t) for t in tuples])
+
+
+def support_block(classes):
+    """Class-major support block of frame rows from per-class clip lists."""
+    return Tensor(np.concatenate([clip.data for group in classes for clip in group]))
 
 
 def trm_distance_oracle(query, supports, tuples_by_omega, params):
@@ -248,6 +263,22 @@ def test_trm_distance_rejects_empty_support():
                      {2: enumerate_tuples(3, [2])}, params)
 
 
+@pytest.mark.parametrize("support_frames", [4, 5])
+def test_one_class_support_must_match_query_frames(support_frames):
+    """L=4 support clips against an L=2 query hold as many rows as twice the
+    clips of 2 frames: only the per-clip frame count tells them apart."""
+    rng = np.random.default_rng(17)
+    trm = {2: init_trm_params(2, 3, 4, seed_for)}
+    qc = {2: init_qc_params(2, 3, 4, seed_for)}
+    tuples = {2: enumerate_tuples(2, [2])}
+    query = Tensor(rng.standard_normal((2, 3)))
+    supports = [Tensor(rng.standard_normal((support_frames, 3))) for _ in range(2)]
+    with pytest.raises(ShapeError, match=f"support clips have {support_frames} frames"):
+        trm_distance(Tape(), query, supports, tuples, trm)
+    with pytest.raises(ShapeError, match=f"support clips have {support_frames} frames"):
+        qc_similarity(Tape(), query, supports, tuples, qc)
+
+
 # -- logits --------------------------------------------------------------------------
 
 
@@ -257,7 +288,8 @@ def test_trm_logits_argmax_on_identical_class():
     tuples = {2: enumerate_tuples(3, [2])}
     query = Tensor(rng.standard_normal((3, 3)))
     far = [[Tensor(rng.standard_normal((3, 3)) + 5.0)] for _ in range(2)]
-    logits = trm_logits(Tape(), query, [[query]] + far, tuples, params)
+    logits = trm_logits(Tape(), query, support_block([[query]] + far), tuples, params,
+                        classes=3)
     assert int(np.argmax(logits.data)) == 0
 
 
@@ -268,7 +300,8 @@ def test_trm_logits_uniform_when_supports_identical():
     query = Tensor(rng.standard_normal((3, 3)))
     shared = Tensor(rng.standard_normal((3, 3)))
     tape = Tape()
-    logits = trm_logits(tape, query, [[shared]] * 4, tuples, params)
+    logits = trm_logits(tape, query, support_block([[shared]] * 4), tuples, params,
+                        classes=4)
     probs = tape.softmax_last(tape.reshape(logits, (1, 4)))
     assert np.abs(probs.data - 0.25).max() <= 1e-9
 
@@ -280,9 +313,8 @@ def test_trm_logits_two_way_matches_distances():
     query = rng.standard_normal((3, 3))
     s0 = [rng.standard_normal((3, 3))]
     s1 = [rng.standard_normal((3, 3))]
-    logits = trm_logits(Tape(), Tensor(query),
-                        [[Tensor(s) for s in s0], [Tensor(s) for s in s1]],
-                        tuples, params)
+    logits = trm_logits(Tape(), Tensor(query), Tensor(np.concatenate(s0 + s1)),
+                        tuples, params, classes=2)
     d0 = trm_distance_oracle(query, s0, tuples, params)
     d1 = trm_distance_oracle(query, s1, tuples, params)
     assert np.abs(logits.data - np.array([-d0, -d1])).max() <= 1e-10
@@ -297,20 +329,21 @@ def test_trm_logits_same_for_clips_embeddings_and_block():
     queries = [Tensor(rng.standard_normal((4, 3))) for _ in range(2)]
     tape = Tape()
     embeds = [embed_class_supports(tape, group, tuples, params) for group in classes]
-    block = Tensor(np.concatenate([clip.data for group in classes for clip in group]))
-    batched = trm_logits(tape, tape.stack(queries), classes, tuples, params)
+    block = support_block(classes)
+    batched = trm_logits(tape, tape.stack(queries), block, tuples, params, classes=3)
     assert batched.shape == (2, 3)
-    from_block = trm_logits(tape, tape.stack(queries), block, tuples, params, classes=3)
-    assert np.array_equal(from_block.data, batched.data)
-    batched_qc = qc_logits(tape, tape.stack(queries), classes, tuples, qc)
-    from_block_qc = qc_logits(tape, tape.stack(queries), block, tuples, qc, classes=3)
-    assert np.array_equal(from_block_qc.data, batched_qc.data)
+    batched_qc = qc_logits(tape, tape.stack(queries), block, tuples, qc, classes=3)
+    assert batched_qc.shape == (2, 3)
     for q, query in enumerate(queries):
-        for supports in (classes, embeds):
-            logits = trm_logits(tape, query, supports, tuples, params)
+        per_class = [-trm_distance(tape, query, group, tuples, params).item()
+                     for group in classes]
+        assert np.abs(np.array(per_class) - batched.data[q]).max() <= 1e-12
+        per_class_qc = [qc_similarity(tape, query, group, tuples, qc).item()
+                        for group in classes]
+        assert np.abs(np.array(per_class_qc) - batched_qc.data[q]).max() <= 1e-12
+        for supports, count in ((embeds, None), (block, 3)):
+            logits = trm_logits(tape, query, supports, tuples, params, classes=count)
             assert np.abs(logits.data - batched.data[q]).max() <= 1e-12
-        logits = trm_logits(tape, query, block, tuples, params, classes=3)
-        assert np.abs(logits.data - batched.data[q]).max() <= 1e-12
 
 
 def test_support_block_must_fit_its_classes():
@@ -339,9 +372,7 @@ def test_unequal_class_sizes_rejected():
     classes = [[Tensor(rng.standard_normal((3, 3))) for _ in range(n)] for n in (2, 2, 3)]
     message = r"class 2 has 3 support clips but class 0 has 2"
     with pytest.raises(ShapeError, match=message):
-        trm_logits(Tape(), query, classes, tuples, trm)
-    with pytest.raises(ShapeError, match=message):
-        qc_logits(Tape(), query, classes, tuples, qc)
+        check_class_sizes([len(group) for group in classes])
     tape = Tape()
     embeds = [embed_class_supports(tape, group, tuples, trm) for group in classes]
     with pytest.raises(ShapeError, match=message):
@@ -371,7 +402,8 @@ def test_qc_zero_projection_scores_zero():
     out = qc_similarity(Tape(), query, [support], tuples, params)
     assert out.item() == 0.0
     tape = Tape()
-    logits = qc_logits(tape, query, [[support]] * 3, tuples, params)
+    logits = qc_logits(tape, query, support_block([[support]] * 3), tuples, params,
+                       classes=3)
     probs = tape.softmax_last(tape.reshape(logits, (1, 3)))
     assert np.abs(probs.data - 1 / 3).max() <= 1e-12
 
@@ -409,9 +441,9 @@ def test_qc_argmax_invariant_to_shared_code_rescale():
     tuples = {2: enumerate_tuples(4, [2])}
     query = Tensor(rng.standard_normal((4, 3)))
     classes = [[Tensor(rng.standard_normal((4, 3)))] for _ in range(3)]
-    base = qc_logits(Tape(), query, classes, tuples, params)
+    base = qc_logits(Tape(), query, support_block(classes), tuples, params, classes=3)
     params[2].class_proj.value.data *= 7.5  # scales every code by the same factor
-    scaled = qc_logits(Tape(), query, classes, tuples, params)
+    scaled = qc_logits(Tape(), query, support_block(classes), tuples, params, classes=3)
     assert int(np.argmax(base.data)) == int(np.argmax(scaled.data))
     assert np.abs(base.data - scaled.data).max() <= 1e-9
 

@@ -135,10 +135,8 @@ def test_forward_episode_scores_shape():
     episode = sample_episode(ds, EpisodeSpec(ways=3, shots=1,
                                              queries_per_class=2, seed=0), 0)
     res = forward_episode(Tape(), episode, build_params(cfg), cfg)
-    assert len(res.scores) == 6
-    for s in res.scores:
-        assert s.trm_logits.shape == (3,)
-        assert s.qc_logits.shape == (3,)
+    assert res.trm_logits.shape == (6, 3)
+    assert res.qc_logits.shape == (6, 3)
     assert res.loss.ndim == 0
     assert res.loss_qc > 0.0
 
@@ -153,22 +151,22 @@ def test_subsampled_tuple_sets_used_in_forward():
 
 def per_clip_loss(tape, episode, params, cfg):
     """The joint episode loss through per-clip tensors: enrich_clips splits
-    the enriched block into clips, the queries are stacked again and every
-    class is a clip list."""
+    the enriched block into clips, the queries are stacked again and the
+    support clips are concatenated into the class-major block."""
     shots = [len(group) for group in episode.support]
     values = [rec.features.values for group in episode.support for rec in group]
     values += [rec.features.values for rec, _ in episode.queries]
     pairs = enrich_clips(tape, values, params, cfg)
-    starts = np.cumsum([0] + shots)
-    classes = [pairs[starts[w]:starts[w + 1]] for w in range(len(shots))]
-    queries = pairs[starts[-1]:]
+    support, queries = pairs[:sum(shots)], pairs[sum(shots):]
     targets = [way for _, way in episode.queries]
     tuples = cfg.tuple_sets()
     tm = trm_logits(tape, tape.stack([e for _, e in queries]),
-                    [[e for _, e in group] for group in classes], tuples, params.trm)
+                    tape.concat([e for _, e in support], axis=0), tuples, params.trm,
+                    classes=len(shots))
     tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
     qc = qc_logits(tape, tape.stack([p for p, _ in queries]),
-                   [[p for p, _ in group] for group in classes], tuples, params.qc)
+                   tape.concat([p for p, _ in support], axis=0), tuples, params.qc,
+                   classes=len(shots))
     qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
     return tape.add(tm_mean, tape.scale(qc_mean, cfg.qc_weight))
 

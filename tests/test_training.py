@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from strm import cli
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
 from strm.episodes import EpisodeSpec, SyntheticSpec, filter_labels, \
     generate_synthetic, sample_episode
@@ -99,7 +100,7 @@ def test_all_toggles_off_is_bare_tuple_matcher():
     params = build_params(cfg)
     res = forward_episode(Tape(), episode, params, cfg)
     tuples = {2: enumerate_tuples(4, [2])}
-    for scores, (record, _) in zip(res.scores, episode.queries):
+    for logits, (record, _) in zip(res.trm_logits, episode.queries):
         tape = Tape()
         query = Tensor(record.features.values.data.mean(axis=1))
         expected = []
@@ -107,7 +108,7 @@ def test_all_toggles_off_is_bare_tuple_matcher():
             sup = [Tensor(c.features.values.data.mean(axis=1)) for c in way_clips]
             expected.append(-trm_distance(tape, query, sup, tuples,
                                           params.trm).item())
-        assert np.abs(scores.trm_logits.data - np.array(expected)).max() <= 1e-10
+        assert np.abs(logits - np.array(expected)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("omegas,keep_ratio", [((2,), 1.0), ((2, 3), 1.0), ((2,), 0.2)])
@@ -125,14 +126,14 @@ def test_episode_logits_match_per_class_matching(omegas, keep_ratio):
     tape = Tape()
     support = [[enrich_clip(tape, c.features.values, params, cfg) for c in way_clips]
                for way_clips in episode.support]
-    for scores, (record, _) in zip(res.scores, episode.queries):
+    for tm_row, qc_row, (record, _) in zip(res.trm_logits, res.qc_logits, episode.queries):
         pooled, enriched = enrich_clip(tape, record.features.values, params, cfg)
         tm = [-trm_distance(tape, enriched, [e for _, e in pairs], tuples,
                             params.trm).item() for pairs in support]
         qc = [qc_similarity(tape, pooled, [p for p, _ in pairs], tuples,
                             params.qc).item() for pairs in support]
-        assert np.abs(scores.trm_logits.data - np.array(tm)).max() <= 1e-10
-        assert np.abs(scores.qc_logits.data - np.array(qc)).max() <= 1e-10
+        assert np.abs(tm_row - np.array(tm)).max() <= 1e-10
+        assert np.abs(qc_row - np.array(qc)).max() <= 1e-10
 
 
 def test_loss_affine_in_qc_weight():
@@ -419,6 +420,21 @@ def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypat
     monkeypatch.undo()
     save_checkpoint(build_params(replace(cfg, seed=1)), path)
     assert path.read_bytes() != before
+
+    # the eval report, behind a run manifest that is allowed to land
+    data = tmp_path / "ds"
+    assert cli.main(["synth", "--out", str(data), "--classes", "3", "--clips", "3",
+                     "--frames", "4", "--patches", "2", "--dim", "8"]) == cli.EXIT_OK
+    out = tmp_path / "eval"
+    flags = ["eval", "--data", str(data), "--checkpoint", str(path), "--out", str(out),
+             "--episodes", "2", "--ways", "2", "--shots", "1"]
+    assert cli.main(flags + ["--seed", "1"]) == cli.EXIT_OK
+    report = (out / "report.json").read_bytes()
+    monkeypatch.setattr(cli, "_write_run_manifest", lambda *args: None)
+    monkeypatch.setattr(os, "fsync", disk_full)
+    assert cli.main(flags + ["--seed", "2"]) == cli.EXIT_IO
+    assert (out / "report.json").read_bytes() == report
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "run_manifest.json"]
 
 
 def test_checkpoint_nonfinite_value_names_parameter_and_index(tmp_path):
