@@ -1,10 +1,12 @@
 """Dense float64 tensors with tape-recorded reverse-mode differentiation.
 
-Deliberately small and deterministic: every operation appends its adjoint to
-a Tape, so gradients are obtained by replaying the tape in reverse, and a
-central finite-difference oracle is provided to verify them independently.
-All arithmetic is 64-bit and CPU-only. Importing the module sets the
-process's glibc heap policy once (see _set_heap_policy).
+Deliberately small and deterministic: an operation on a recording Tape that
+can reach a Param appends its adjoint to the tape, so gradients are obtained
+by replaying the tape in reverse, and a central finite-difference oracle is
+provided to verify them independently. A forward-only tape, Tape(grad=False),
+runs the same operations and records nothing. All arithmetic is 64-bit and
+CPU-only. Importing the module sets the process's glibc heap policy once
+(see _set_heap_policy).
 """
 
 from __future__ import annotations
@@ -69,15 +71,21 @@ class NumericalError(ArithmeticError):
 
 
 class Tensor:
-    """Dense n-dimensional float64 array, immutable once produced by an op."""
+    """Dense n-dimensional float64 array, immutable once produced by an op.
 
-    __slots__ = ("data",)
+    `needs_grad` says whether a gradient can flow to the tensor: it is set on
+    a Param's value and on the output of every op a tape records, and is
+    false for everything else (clips, constants, forward-only outputs).
+    """
+
+    __slots__ = ("data", "needs_grad")
 
     def __init__(self, data) -> None:
         arr = np.asarray(data, dtype=np.float64)
         if any(extent == 0 for extent in arr.shape):
             raise ShapeError(f"tensor extents must be positive, got {arr.shape}")
         self.data = arr
+        self.needs_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,6 +114,7 @@ class Param:
     def __init__(self, name: str, value: Tensor) -> None:
         self.name = name
         self.value = value
+        value.needs_grad = True
         self.grad = np.zeros_like(value.data)
 
     def zero_grad(self) -> None:
@@ -142,26 +151,42 @@ def _need_rank(t: Tensor, rank: int, op: str) -> None:
 class Tape:
     """Ordered record of executed operations, replayable in reverse for adjoints.
 
+    An op is recorded only if the tape records (grad=True, the default) and
+    one of its inputs needs grad; its output then needs grad too. Ops on
+    constants alone, and every op of a forward-only tape (grad=False), keep
+    no adjoint and no intermediate alive. len(tape) counts the ops run,
+    recorded or not.
+
     A tape has a single writer; tensors it produces are never mutated.
     Distinct tapes are independent and may run concurrently over shared
     read-only parameters.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, grad: bool = True) -> None:
+        self._grad = bool(grad)
+        self._ops = 0
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray, dict], None]]] = []
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._ops
 
-    def _record(self, out: Tensor, backward: Callable[[np.ndarray, dict], None]) -> Tensor:
-        self._nodes.append((out, backward))
+    def _record(self, out: Tensor, backward: Callable[[np.ndarray, dict], None],
+                *inputs: Tensor) -> Tensor:
+        self._ops += 1
+        if self._grad and any(t.needs_grad for t in inputs):
+            out.needs_grad = True
+            self._nodes.append((out, backward))
         return out
 
     def backward(self, loss: Tensor, params: Iterable[Param]) -> None:
         """Accumulate d(loss)/d(param) into each param's grad buffer.
 
-        Gradients add across calls; callers zero them explicitly.
+        Gradients add across calls; callers zero them explicitly. Adjoints
+        toward inputs that need no grad are never formed.
         """
+        if not self._grad:
+            raise RuntimeError("backward called on a forward-only tape "
+                               "(Tape(grad=False) records no adjoints)")
         if loss.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         adj: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
@@ -182,10 +207,12 @@ class Tape:
         out = Tensor(a.data @ b.data)
 
         def backward(g, adj):
-            _accum(adj, a, g @ b.data.T)
-            _accum(adj, b, a.data.T @ g)
+            if a.needs_grad:
+                _accum(adj, a, g @ b.data.T)
+            if b.needs_grad:
+                _accum(adj, b, a.data.T @ g)
 
-        return self._record(out, backward)
+        return self._record(out, backward, a, b)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -193,10 +220,12 @@ class Tape:
         out = Tensor(a.data + b.data)
 
         def backward(g, adj):
-            _accum(adj, a, g)
-            _accum(adj, b, g)
+            if a.needs_grad:
+                _accum(adj, a, g)
+            if b.needs_grad:
+                _accum(adj, b, g)
 
-        return self._record(out, backward)
+        return self._record(out, backward, a, b)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -204,10 +233,12 @@ class Tape:
         out = Tensor(a.data - b.data)
 
         def backward(g, adj):
-            _accum(adj, a, g)
-            _accum(adj, b, -g)
+            if a.needs_grad:
+                _accum(adj, a, g)
+            if b.needs_grad:
+                _accum(adj, b, -g)
 
-        return self._record(out, backward)
+        return self._record(out, backward, a, b)
 
     def scale(self, x: Tensor, s: float) -> Tensor:
         s = float(s)
@@ -216,7 +247,7 @@ class Tape:
         def backward(g, adj):
             _accum(adj, x, g * s)
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     # -- structural ops -----------------------------------------------------
 
@@ -229,7 +260,7 @@ class Tape:
         def backward(g, adj):
             _accum(adj, x, np.swapaxes(g, -1, -2))
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     def bmm(self, a: Tensor, b: Tensor) -> Tensor:
         """Batched matrix product over matching leading axes."""
@@ -240,10 +271,12 @@ class Tape:
         out = Tensor(a.data @ b.data)
 
         def backward(g, adj):
-            _accum(adj, a, g @ np.swapaxes(b.data, -1, -2))
-            _accum(adj, b, np.swapaxes(a.data, -1, -2) @ g)
+            if a.needs_grad:
+                _accum(adj, a, g @ np.swapaxes(b.data, -1, -2))
+            if b.needs_grad:
+                _accum(adj, b, np.swapaxes(a.data, -1, -2) @ g)
 
-        return self._record(out, backward)
+        return self._record(out, backward, a, b)
 
     def reshape(self, x: Tensor, shape: Sequence[int]) -> Tensor:
         shape = tuple(int(s) for s in shape)
@@ -254,7 +287,7 @@ class Tape:
         def backward(g, adj):
             _accum(adj, x, g.reshape(x.shape))
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     def concat(self, parts: Sequence[Tensor], axis: int) -> Tensor:
         if not parts:
@@ -267,10 +300,11 @@ class Tape:
                 extent = p.shape[axis]
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offset, offset + extent)
-                _accum(adj, p, g[tuple(sl)])
+                if p.needs_grad:
+                    _accum(adj, p, g[tuple(sl)])
                 offset += extent
 
-        return self._record(out, backward)
+        return self._record(out, backward, *parts)
 
     def stack(self, parts: Sequence[Tensor]) -> Tensor:
         if not parts:
@@ -283,9 +317,10 @@ class Tape:
 
         def backward(g, adj):
             for i, p in enumerate(parts):
-                _accum(adj, p, g[i])
+                if p.needs_grad:
+                    _accum(adj, p, g[i])
 
-        return self._record(out, backward)
+        return self._record(out, backward, *parts)
 
     def slice_rows(self, x: Tensor, start: int, stop: int) -> Tensor:
         """Rows start..stop-1 of a matrix, as a view: tensors are never mutated."""
@@ -300,7 +335,7 @@ class Tape:
             d[start:stop] = g
             _accum(adj, x, d)
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     def combine_rows(self, x: Tensor, mix: np.ndarray) -> Tensor:
         """Constant row combinations, summed over the leading axis:
@@ -324,7 +359,7 @@ class Tape:
         def backward(g, adj):
             _accum(adj, x, np.matmul(np.swapaxes(mix, 1, 2)[per_lead], g))
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     # -- reductions and nonlinearities --------------------------------------
 
@@ -337,16 +372,16 @@ class Tape:
         def backward(g, adj):
             _accum(adj, x, np.broadcast_to(np.expand_dims(g, axis), x.shape) / n)
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     def relu(self, x: Tensor) -> Tensor:
-        mask = x.data > 0.0  # subgradient at exactly 0 is 0
-        out = Tensor(np.where(mask, x.data, 0.0))
+        # One pass; -0.0 maps to +0.0, as in x > 0 ? x : 0 (NaN stays NaN).
+        out = Tensor(np.maximum(x.data, 0.0))
 
         def backward(g, adj):
-            _accum(adj, x, g * mask)
+            _accum(adj, x, g * (out.data > 0.0))  # subgradient at exactly 0 is 0
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     def softmax_last(self, x: Tensor) -> Tensor:
         """Stabilized softmax over the last axis (max subtraction per slice)."""
@@ -361,7 +396,7 @@ class Tape:
             dot = (g * s).sum(axis=-1, keepdims=True)
             _accum(adj, x, (g - dot) * s)
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     def cross_entropy(self, probs: Tensor, target: int | Sequence[int]) -> Tensor:
         """Negative log-likelihood of `target` under a probability vector; for
@@ -401,7 +436,7 @@ class Tape:
             d[at] = np.where(picked >= 1e-12, -np.reshape(g, -1) / clamped, 0.0)
             _accum(adj, probs, d.reshape(probs.shape))
 
-        return self._record(out, backward)
+        return self._record(out, backward, probs)
 
     def rows_l2norm(self, x: Tensor) -> Tensor:
         """Euclidean norm of each row of a matrix."""
@@ -413,7 +448,7 @@ class Tape:
             safe = np.where(norms > 0.0, norms, 1.0)
             _accum(adj, x, x.data * (g / safe)[:, None])
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
     def cosine_matrix(self, a: Tensor, b: Tensor) -> Tensor:
         """Pairwise cosine similarities between rows of `a` and rows of `b`.
@@ -437,12 +472,14 @@ class Tape:
 
         def backward(g, adj):
             # d(x / |x|) = (dx - u (u . dx)) / |x|
-            dua = g @ ub
-            dub = g.T @ ua
-            _accum(adj, a, (dua - ua * (ua * dua).sum(axis=1, keepdims=True)) * inv_a)
-            _accum(adj, b, (dub - ub * (ub * dub).sum(axis=1, keepdims=True)) * inv_b)
+            if a.needs_grad:
+                dua = g @ ub
+                _accum(adj, a, (dua - ua * (ua * dua).sum(axis=1, keepdims=True)) * inv_a)
+            if b.needs_grad:
+                dub = g.T @ ua
+                _accum(adj, b, (dub - ub * (ub * dub).sum(axis=1, keepdims=True)) * inv_b)
 
-        return self._record(out, backward)
+        return self._record(out, backward, a, b)
 
     def max_rows(self, x: Tensor) -> Tensor:
         """Row-wise maximum; gradient routed to each row's first argmax."""
@@ -456,7 +493,7 @@ class Tape:
             d[rows, idx] = g
             _accum(adj, x, d)
 
-        return self._record(out, backward)
+        return self._record(out, backward, x)
 
 
 def seeded_init(shape: Sequence[int], fan_in: int, fan_out: int, seed) -> Tensor:

@@ -210,5 +210,5 @@ def ple_patch_diagnostics(patches: np.ndarray, params: PLEParams | None):
     if params is None:
         n_patches = x.shape[0]
         return np.zeros((n_patches, n_patches)), np.sqrt((x * x).sum(axis=1))
-    enriched, scores = _ple_frame(Tape(), Tensor(x), params)
+    enriched, scores = _ple_frame(Tape(grad=False), Tensor(x), params)
     return scores.data[0], np.sqrt((enriched.data * enriched.data).sum(axis=1))

@@ -10,6 +10,7 @@ chance by construction.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,7 @@ __all__ = [
     "save_clip",
     "load_clip",
     "write_manifest",
+    "write_atomic",
     "load_dataset",
     "generate_synthetic",
     "filter_labels",
@@ -205,7 +207,7 @@ def save_clip(record: ClipRecord, path: str | Path) -> None:
     header = _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, record.label,
                           clip.frames, clip.patches, clip.channels)
     payload = clip.values.data.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def load_clip(path: str | Path) -> ClipRecord:
@@ -244,7 +246,25 @@ def load_clip(path: str | Path) -> ClipRecord:
 def write_manifest(records: list[tuple[str, int]], path: str | Path) -> None:
     """Write one `path<TAB>label` line per clip."""
     lines = [f"{rel}\t{label}\n" for rel, label in records]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_atomic(path, "".join(lines).encode("utf-8"))
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace the file at `path` with `data` so that it holds either its old
+    contents or all of the new ones, never a torn write: the bytes go to a
+    temp file in the same directory, are flushed to disk, and the temp file
+    is then renamed over `path`."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:

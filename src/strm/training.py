@@ -5,7 +5,6 @@ and the ablation runner."""
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import model
 from .diffcore import NumericalError, Param, Tape, finite_diff_gradients, zero_grads
-from .episodes import Dataset, Episode, EpisodeSpec, sample_episode
+from .episodes import Dataset, Episode, EpisodeSpec, sample_episode, write_atomic
 from .model import ModelConfig, ModelParams, build_params, forward_episode
 
 __all__ = [
@@ -105,12 +104,14 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
     """Accuracy of matching-head predictions over freshly sampled episodes.
 
     Predictions use the matching logits only; ties resolve to the lowest
-    class index. The half-width is taken over all scored queries.
+    class index. The half-width is taken over all scored queries. Episodes
+    are scored on a forward-only tape, which keeps no intermediate alive.
     """
     flags: list[tuple[int, int]] = []
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
-        logits, _ = model.score_episode(Tape(), episode, params, config, use_qc=False)
+        logits, _ = model.score_episode(Tape(grad=False), episode, params, config,
+                                        use_qc=False)
         flags += [(record.label, int(pred == way)) for (record, way), pred
                   in zip(episode.queries, np.argmax(logits.data, axis=1))]
     return _report(flags, n_episodes)
@@ -230,24 +231,6 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     write_atomic(path, b"".join(chunks))
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace the file at `path` with `data` so that it holds either its old
-    contents or all of the new ones, never a torn write: the bytes go to a
-    temp file in the same directory, are flushed to disk, and the temp file
-    is then renamed over `path`."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     path = Path(path)
     raw = path.read_bytes()
@@ -329,8 +312,7 @@ def gradcheck_model(
         analytic[name] = analytic[name] + 0.5
 
     def loss_fn() -> float:
-        probe = Tape()
-        return forward_episode(probe, episode, params, config).loss.item()
+        return forward_episode(Tape(grad=False), episode, params, config).loss.item()
 
     numeric = finite_diff_gradients(loss_fn, plist, step)
     rows = []

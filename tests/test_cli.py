@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from strm import cli
 from strm.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from strm.diffcore import Tensor
 from strm.episodes import ClipRecord, FeatureClip, load_clip, save_clip
@@ -71,6 +73,23 @@ def test_synth_deterministic_tree(tmp_path):
     assert run(["synth", "--out", str(a), *flags]) == EXIT_OK
     assert run(["synth", "--out", str(b), *flags]) == EXIT_OK
     assert tree_digest(a) == tree_digest(b)
+
+
+def test_synth_failing_midway_keeps_previous_files(tmp_path, monkeypatch):
+    out = tmp_path / "ds"
+    flags = ["synth", "--out", str(out), "--classes", "2", "--clips", "2",
+             "--frames", "4", "--patches", "2", "--dim", "4"]
+    assert run(flags + ["--seed", "0"]) == EXIT_OK
+    before = tree_digest(out)
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_run_manifest", lambda *args: None)
+    monkeypatch.setattr(os, "fsync", disk_full)
+    assert run(flags + ["--seed", "1"]) == EXIT_IO
+    assert tree_digest(out) == before
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
 def test_synth_rejects_single_frame(tmp_path):

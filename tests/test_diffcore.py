@@ -152,6 +152,50 @@ def test_relu_chain_gradient_away_from_kinks():
     assert max(errs.values()) <= 1e-6
 
 
+def test_relu_bits_match_the_mask_form_at_signed_zeros_and_denormals():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [-0.0, 0.0, tiny, -tiny, 1e-310, -1e-310, 2.5, -2.5]
+    rng = np.random.default_rng(4)
+    bulk = rng.standard_normal(1000) * np.repeat([1.0, 1e-310], 500)
+    bulk[::7] = -0.0
+    bulk[3::11] = 0.0
+    x = as_param("x", np.concatenate([edges, bulk]))
+    tape = Tape()
+    out = tape.relu(x.value)
+    assert out.data.tobytes() == np.where(x.value.data > 0, x.value.data, 0.0).tobytes()
+    tape.backward(tape.mean(out, axis=0), [x])
+    data = x.value.data
+    assert (data == 0.0).sum() > 100 and (data > 0).sum() > 100
+    assert np.all(x.grad[data <= 0.0] == 0.0)
+    assert np.all(x.grad[data > 0.0] == 1.0 / data.size)
+
+
+# -- needs-grad and forward-only tapes ------------------------------------------
+
+
+def test_ops_on_constants_record_no_node():
+    tape = Tape()
+    a = Tensor(np.ones((2, 3)))
+    out = tape.relu(tape.matmul(a, Tensor(np.ones((3, 2)))))
+    assert not out.needs_grad
+    assert tape._nodes == [] and len(tape) == 2  # len counts the ops run
+    w = as_param("w", np.ones((3, 2)))
+    assert w.value.needs_grad
+    mixed = tape.matmul(a, w.value)
+    assert mixed.needs_grad
+    assert len(tape._nodes) == 1 and len(tape) == 3
+
+
+def test_forward_only_tape_records_nothing_and_refuses_backward():
+    w = as_param("w", np.ones((3, 3)))
+    tape = Tape(grad=False)
+    loss = tape.mean(tape.reshape(tape.matmul(w.value, w.value), (9,)), axis=0)
+    assert loss.item() == 3.0 and not loss.needs_grad
+    assert tape._nodes == [] and len(tape) == 3
+    with pytest.raises(RuntimeError, match="forward-only"):
+        tape.backward(loss, [w])
+
+
 # -- cross entropy -----------------------------------------------------------
 
 
@@ -275,42 +319,56 @@ def _scalarize(tape, out):
 
 
 OP_SCENARIOS = {
-    "matmul": lambda tape, p: tape.matmul(p[0].value, p[1].value),
-    "bmm": lambda tape, p: tape.bmm(p[2].value, p[3].value),
+    "matmul": lambda tape, p, c: tape.matmul(p[0].value, p[1].value),
+    "bmm": lambda tape, p, c: tape.bmm(p[2].value, p[3].value),
     # a matrix; "transpose_last2" covers a batch of matrices
-    "transpose": lambda tape, p: tape.transpose(p[0].value),
-    "transpose_last2": lambda tape, p: tape.transpose(p[2].value),
-    "add": lambda tape, p: tape.add(p[0].value, p[0].value),
-    "sub": lambda tape, p: tape.sub(p[0].value, p[4].value),
-    "scale": lambda tape, p: tape.scale(p[0].value, -1.7),
-    "concat": lambda tape, p: tape.concat([p[0].value, p[4].value], axis=1),
-    "stack": lambda tape, p: tape.stack([p[0].value, p[4].value]),
-    "reshape": lambda tape, p: tape.reshape(p[0].value, (p[0].value.size,)),
-    "slice_rows": lambda tape, p: tape.slice_rows(p[0].value, 1, p[0].value.shape[0]),
-    "combine_rows": lambda tape, p: tape.combine_rows(
+    "transpose": lambda tape, p, c: tape.transpose(p[0].value),
+    "transpose_last2": lambda tape, p, c: tape.transpose(p[2].value),
+    "add": lambda tape, p, c: tape.add(p[0].value, p[0].value),
+    "sub": lambda tape, p, c: tape.sub(p[0].value, p[4].value),
+    "scale": lambda tape, p, c: tape.scale(p[0].value, -1.7),
+    "concat": lambda tape, p, c: tape.concat([p[0].value, p[4].value], axis=1),
+    "stack": lambda tape, p, c: tape.stack([p[0].value, p[4].value]),
+    "reshape": lambda tape, p, c: tape.reshape(p[0].value, (p[0].value.size,)),
+    "slice_rows": lambda tape, p, c: tape.slice_rows(p[0].value, 1, p[0].value.shape[0]),
+    "combine_rows": lambda tape, p, c: tape.combine_rows(
         tape.stack([p[2].value, tape.scale(p[2].value, 0.5)]),
         np.eye(p[2].value.shape[1])[[[1, 0, 1], [0, 0, p[2].value.shape[1] - 1]]]),
-    "mean0": lambda tape, p: tape.mean(p[0].value, axis=0),
-    "mean1": lambda tape, p: tape.mean(p[0].value, axis=1),
-    "relu": lambda tape, p: tape.relu(p[0].value),
+    "mean0": lambda tape, p, c: tape.mean(p[0].value, axis=0),
+    "mean1": lambda tape, p, c: tape.mean(p[0].value, axis=1),
+    "relu": lambda tape, p, c: tape.relu(p[0].value),
     # softmax over the rows of a matrix; "softmax_last" covers rank 3
-    "softmax_rows": lambda tape, p: tape.softmax_last(p[0].value),
-    "softmax_last": lambda tape, p: tape.softmax_last(p[2].value),
+    "softmax_rows": lambda tape, p, c: tape.softmax_last(p[0].value),
+    "softmax_last": lambda tape, p, c: tape.softmax_last(p[2].value),
     # the norm of a whole tensor, taken as one row
-    "l2_norm": lambda tape, p: l2_norm(tape, p[0].value),
-    "rows_l2norm": lambda tape, p: tape.rows_l2norm(p[0].value),
+    "l2_norm": lambda tape, p, c: l2_norm(tape, p[0].value),
+    "rows_l2norm": lambda tape, p, c: tape.rows_l2norm(p[0].value),
     # the cosine of two vectors, as one-row matrices
-    "cosine": lambda tape, p: tape.cosine_matrix(
+    "cosine": lambda tape, p, c: tape.cosine_matrix(
         tape.reshape(p[5].value, (1, p[5].value.size)),
         tape.reshape(p[6].value, (1, p[6].value.size))),
-    "cosine_matrix": lambda tape, p: tape.cosine_matrix(p[0].value, p[4].value),
+    "cosine_matrix": lambda tape, p, c: tape.cosine_matrix(p[0].value, p[4].value),
     # the maximum of a whole tensor, taken as one row
-    "max_reduce": lambda tape, p: tape.max_rows(
+    "max_reduce": lambda tape, p, c: tape.max_rows(
         tape.reshape(p[0].value, (1, p[0].value.size))),
-    "max_rows": lambda tape, p: tape.max_rows(p[0].value),
-    "cross_entropy": lambda tape, p: tape.cross_entropy(
+    "max_rows": lambda tape, p, c: tape.max_rows(p[0].value),
+    "cross_entropy": lambda tape, p, c: tape.cross_entropy(
         tape.softmax_last(p[0].value), [i % p[0].value.shape[1]
                                         for i in range(p[0].value.shape[0])]),
+    # one operand a constant (c[i] has the shape of p[i]): the adjoint toward
+    # the constant is skipped, the one toward the Param must stay exact
+    "matmul1": lambda tape, p, c: tape.matmul(p[0].value, c[1]),
+    "matmul2": lambda tape, p, c: tape.matmul(c[0], p[1].value),
+    "bmm1": lambda tape, p, c: tape.bmm(p[2].value, c[3]),
+    "bmm2": lambda tape, p, c: tape.bmm(c[2], p[3].value),
+    "add1": lambda tape, p, c: tape.add(c[0], p[0].value),
+    "sub1": lambda tape, p, c: tape.sub(c[0], p[4].value),
+    "concat1": lambda tape, p, c: tape.concat([c[0], p[4].value, c[4]], axis=1),
+    "cosine_matrix1": lambda tape, p, c: tape.cosine_matrix(p[0].value, c[4]),
+    "cosine_matrix2": lambda tape, p, c: tape.cosine_matrix(c[0], p[4].value),
+    "combine_rows1": lambda tape, p, c: tape.combine_rows(
+        tape.stack([c[2], p[2].value]),
+        np.eye(p[2].value.shape[1])[[[1, 0, 1], [0, 0, p[2].value.shape[1] - 1]]]),
 }
 
 
@@ -331,9 +389,10 @@ def test_op_adjoint_matches_finite_differences(op, seed):
         as_param("p5", rng.standard_normal(n)),
         as_param("p6", rng.standard_normal(n)),
     ]
+    consts = [Tensor(rng.standard_normal(p.value.shape)) for p in params[:5]]
 
     def loss(tape):
-        return _scalarize(tape, OP_SCENARIOS[op](tape, params))
+        return _scalarize(tape, OP_SCENARIOS[op](tape, params, consts))
 
     errs = relative_errors(loss, params, step=1e-5)
     assert max(errs.values()) <= 1e-5, errs

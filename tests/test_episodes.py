@@ -1,6 +1,8 @@
 """Dataset tests: binary round trips, distinct error cases, synthetic
 structure, and episode sampling determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ def test_manifest_roundtrip(tmp_path):
     ds = load_dataset(tmp_path / "manifest.tsv")
     assert len(ds.clips) == 4
     assert sorted(ds.labels) == [0, 1, 2, 3]
+
+
+def test_clip_and_manifest_writes_failing_midway_keep_previous_files(tmp_path, monkeypatch):
+    clip, manifest = tmp_path / "a.stfb", tmp_path / "manifest.tsv"
+    save_clip(make_clip(seed=0), clip)
+    write_manifest([("a.stfb", 3)], manifest)
+    before = {p.name: p.read_bytes() for p in (clip, manifest)}
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError, match="No space"):
+        save_clip(make_clip(seed=1), clip)
+    with pytest.raises(OSError, match="No space"):
+        write_manifest([("a.stfb", 3), ("b.stfb", 4)], manifest)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # -- synthetic structure -----------------------------------------------------------

@@ -3,19 +3,20 @@ metric-log determinism, and the whole-model gradient check."""
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from strm import cli
+from strm import cli, training
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
 from strm.episodes import EpisodeSpec, SyntheticSpec, filter_labels, \
     generate_synthetic, sample_episode
 from strm.matching import (embed_class_supports, enumerate_tuples, qc_similarity,
                            trm_distance, trm_logits)
 from strm.model import (ModelConfig, build_params, enrich_clips, forward_episode,
-                        infer_config, params_from_arrays)
+                        infer_config, params_from_arrays, score_episode)
 from strm.training import (CheckpointFormatError, TrainConfig, evaluate,
                            format_metrics, gradcheck_model, load_checkpoint,
                            mean_pool_baseline, save_checkpoint, sgd_step, train)
@@ -352,6 +353,93 @@ def test_identical_permutation_classes_score_at_chance():
     assert abs(rep.accuracy - 0.5) <= 0.07
     mp = mean_pool_baseline(ds, EpisodeSpec(ways=2, shots=3, seed=4), 400)
     assert abs(mp.accuracy - 0.5) <= 0.07
+
+
+# -- forward-only tapes ----------------------------------------------------------------
+
+STAGES = {"all-on": dict(use_ple=True, use_fle=True, use_qc=True),
+          "all-off": dict(use_ple=False, use_fle=False, use_qc=False)}
+
+
+@pytest.mark.parametrize("stages", sorted(STAGES))
+@pytest.mark.parametrize("omegas,keep_ratio", [((2,), 1.0), ((2, 3), 1.0), ((2,), 0.2)])
+def test_forward_only_logits_bit_identical_to_recording_tape(omegas, keep_ratio, stages):
+    ds = tiny_dataset()
+    cfg = ModelConfig(omegas=omegas, tuple_keep_ratio=keep_ratio, tuple_seed=1, seed=0,
+                      **STAGES[stages], **TINY)
+    params = build_params(cfg)
+    episode = sample_episode(ds, EpisodeSpec(ways=3, shots=2, queries_per_class=2,
+                                             seed=5), 0)
+    recording, forward_only = Tape(), Tape(grad=False)
+    tm, qc = score_episode(recording, episode, params, cfg)
+    tm_f, qc_f = score_episode(forward_only, episode, params, cfg)
+    assert tm_f.data.tobytes() == tm.data.tobytes()
+    assert (qc is None) == (qc_f is None) == (not cfg.use_qc)
+    if qc is not None:
+        assert qc_f.data.tobytes() == qc.data.tobytes()
+    # a whole episode, loss included, keeps no node and runs the same ops
+    forward_episode(recording, episode, params, cfg)
+    forward_episode(forward_only, episode, params, cfg)
+    assert forward_only._nodes == [] and len(recording._nodes) > 0
+    assert len(forward_only) == len(recording)
+
+
+def recording_evaluate(monkeypatch):
+    """Make training.evaluate score its episodes on a recording tape."""
+    monkeypatch.setattr(training, "Tape", lambda grad=True: Tape())
+
+
+@pytest.mark.parametrize("omegas,keep_ratio", [((2,), 1.0), ((2, 3), 1.0), ((2,), 0.2)])
+def test_evaluate_report_unchanged_by_forward_only_tape(omegas, keep_ratio, monkeypatch):
+    ds = tiny_dataset(num_classes=5)
+    cfg = ModelConfig(omegas=omegas, tuple_keep_ratio=keep_ratio, seed=0, **TINY)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=4, shots=2, queries_per_class=2, seed=3)
+    forward_only = evaluate(ds, params, cfg, spec, 15)
+    recording_evaluate(monkeypatch)
+    assert evaluate(ds, params, cfg, spec, 15) == forward_only
+
+
+def test_evaluate_peak_memory_below_recording_tape(monkeypatch):
+    """tracemalloc peak of one evaluate episode at P^2=16, D=64; a recording
+    tape keeps every intermediate alive until the episode ends (about twice
+    the forward-only peak here)."""
+    ds = generate_synthetic(SyntheticSpec(num_classes=5, clips_per_class=6, frames=8,
+                                          patches=16, channels=64, seed=0))
+    cfg = ModelConfig(patches=16, channels=64, refine_hidden=32, embed_dim=32,
+                      code_dim=32, seed=0)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=5, shots=5, seed=0)
+
+    def peak_bytes() -> int:
+        tracemalloc.start()
+        try:
+            evaluate(ds, params, cfg, spec, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward_only = peak_bytes()
+    recording_evaluate(monkeypatch)
+    assert forward_only < 0.75 * peak_bytes()
+
+
+def test_needs_grad_survives_checkpoint_and_sgd(tmp_path):
+    cfg = ModelConfig(seed=3, **TINY)
+    path = tmp_path / "model.stck"
+    save_checkpoint(build_params(cfg), path)
+    params = params_from_arrays(load_checkpoint(path))
+    plist = params.all()
+    values = [p.value for p in plist]
+    assert all(v.needs_grad for v in values)
+    episode = tiny_episode()
+    for _ in range(2):
+        tape = Tape()
+        tape.backward(forward_episode(tape, episode, params, cfg).loss, plist)
+        assert all(np.abs(p.grad).sum() > 0 for p in plist)
+        sgd_step(plist, 0.1)
+    assert all(p.value is v for p, v in zip(plist, values))
+    assert all(v.needs_grad for v in values)
 
 
 # -- checkpoints ---------------------------------------------------------------------
