@@ -338,8 +338,9 @@ def cmd_attn_export(args) -> int:
         "norms_csv": "frame_*.csv", "pgm": "frame_*.pgm",
         "scores_csv": "scores_*.csv"})
     norm_rows = []
+    values = clip.values.data
     for i in range(clip.frames):
-        scores, norms = ple_patch_diagnostics(clip.values.data[i], params.ple)
+        scores, norms = ple_patch_diagnostics(values[i], params.ple)
         norm_rows.append(norms)
         score_text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in scores)
         write_atomic(outdir / f"scores_{i:02d}.csv", (score_text + "\n").encode("utf-8"))

@@ -387,14 +387,16 @@ class Tape:
         """Stabilized softmax over the last axis (max subtraction per slice)."""
         if x.ndim < 1:
             raise ShapeError("softmax needs rank >= 1")
-        shifted = x.data - x.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=-1, keepdims=True)
+        s = x.data - x.data.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
         out = Tensor(s)
 
         def backward(g, adj):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            _accum(adj, x, (g - dot) * s)
+            d = g * s
+            np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+            d *= s
+            _accum(adj, x, d)
 
         return self._record(out, backward, x)
 

@@ -109,10 +109,15 @@ def _ple_core(tape: Tape, frames: Tensor,
     fold = tape.scale(tape.matmul(params.key_proj.value,
                                   tape.transpose(params.query_proj.value)),
                       1.0 / math.sqrt(channels))
-    k = tape.reshape(tape.matmul(flat, fold), frames.shape)
-    v = tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)
-    scores = tape.bmm(frames, tape.transpose(k))
-    attended = tape.add(tape.bmm(tape.softmax_last(scores), v), frames)
+    # Keys, their transpose and the values are used inline, so that on a
+    # forward-only tape each [n x patches x channels] block is freed as soon
+    # as its product exists.
+    scores = tape.bmm(frames, tape.transpose(
+        tape.reshape(tape.matmul(flat, fold), frames.shape)))
+    attended = tape.add(
+        tape.bmm(tape.softmax_last(scores),
+                 tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)),
+        frames)
     flat_att = tape.reshape(attended, (n * n_patches, channels))
     hidden = tape.relu(tape.matmul(flat_att, params.refine1.value))
     return attended, tape.relu(tape.matmul(hidden, params.refine2.value)), scores

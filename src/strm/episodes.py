@@ -77,29 +77,39 @@ class InsufficientClipsError(ValueError):
     """A class does not own enough clips for the requested episode."""
 
 
-@dataclass
 class FeatureClip:
-    """One clip's features: [frames x patches x channels], 64-bit."""
+    """One clip's features, [frames x patches x channels], kept as given: a
+    loaded clip holds its float32 payload as a read-only view of the file's
+    bytes, a clip built in memory from a Tensor holds its float64 array.
+    `values` is the float64 Tensor of the features, widened when stored as
+    float32; the model widens a whole episode at once instead (enrich_block).
+    """
 
-    values: Tensor
+    __slots__ = ("payload",)
 
-    def __post_init__(self) -> None:
-        if self.values.ndim != 3:
-            raise ValueError(f"clip features must be rank-3, got {self.values.shape}")
-        if self.frames < 2:
-            raise ValueError(f"clips need at least 2 frames, got {self.frames}")
+    def __init__(self, values: Tensor | np.ndarray) -> None:
+        payload = values.data if isinstance(values, Tensor) else values
+        if payload.ndim != 3:
+            raise ValueError(f"clip features must be rank-3, got {payload.shape}")
+        if payload.shape[0] < 2:
+            raise ValueError(f"clips need at least 2 frames, got {payload.shape[0]}")
+        self.payload = payload
+
+    @property
+    def values(self) -> Tensor:
+        return Tensor(self.payload)
 
     @property
     def frames(self) -> int:
-        return self.values.shape[0]
+        return self.payload.shape[0]
 
     @property
     def patches(self) -> int:
-        return self.values.shape[1]
+        return self.payload.shape[1]
 
     @property
     def channels(self) -> int:
-        return self.values.shape[2]
+        return self.payload.shape[2]
 
 
 @dataclass
@@ -119,10 +129,9 @@ class Dataset:
     def __post_init__(self) -> None:
         if not self.clips:
             raise ValueError("dataset is empty")
-        extents = {(c.features.frames, c.features.patches, c.features.channels)
-                   for c in self.clips}
-        if len(extents) > 1:
-            raise ValueError(f"clips disagree on extents: {sorted(extents)}")
+        for c in self.clips:
+            if c.features.payload.shape != self.clips[0].features.payload.shape:
+                raise ValueError(_extents_mismatch(c, self.clips[0]))
         by_label: dict[int, list[ClipRecord]] = {}
         for c in self.clips:
             by_label.setdefault(c.label, []).append(c)
@@ -206,7 +215,7 @@ def save_clip(record: ClipRecord, path: str | Path) -> None:
     clip = record.features
     header = _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, record.label,
                           clip.frames, clip.patches, clip.channels)
-    payload = clip.values.data.astype("<f4").tobytes()
+    payload = clip.payload.astype("<f4").tobytes()
     write_atomic(path, header + payload)
 
 
@@ -223,6 +232,8 @@ def load_clip(path: str | Path) -> ClipRecord:
     if min(frames, patches, channels) == 0 or frames * patches * channels > _MAX_ELEMENTS:
         raise ExtentOverflowError(
             f"{path}: bad extents frames={frames} patches={patches} channels={channels}")
+    if frames < 2:
+        raise ClipFormatError(f"{path}: clips need at least 2 frames, got {frames}")
     count = frames * patches * channels
     expected = _HEADER.size + 4 * count
     if len(raw) < expected:
@@ -238,9 +249,8 @@ def load_clip(path: str | Path) -> ClipRecord:
         raise NonFiniteClipError(
             f"{path}: non-finite value {values[first]} at frame {frame}, "
             f"patch {patch}, channel {channel}")
-    values = values.astype(np.float64).reshape(frames, patches, channels)
     return ClipRecord(clip_id=path.stem, label=label,
-                      features=FeatureClip(Tensor(values)))
+                      features=FeatureClip(values.reshape(frames, patches, channels)))
 
 
 def write_manifest(records: list[tuple[str, int]], path: str | Path) -> None:
@@ -277,13 +287,22 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             rel, label_text = line.split("\t")
         except ValueError as exc:
             raise ClipFormatError(f"{manifest_path}:{lineno}: expected `path<TAB>label`") from exc
-        record = load_clip(manifest_path.parent / rel)
+        record_path = manifest_path.parent / rel
+        record = load_clip(record_path)
         if record.label != int(label_text):
             raise ClipFormatError(
                 f"{manifest_path}:{lineno}: manifest label {label_text} != "
                 f"file label {record.label}")
+        if clips and record.features.payload.shape != clips[0].features.payload.shape:
+            raise ClipFormatError(f"{manifest_path}:{lineno}: {record_path}: "
+                                  f"{_extents_mismatch(record, clips[0])}")
         clips.append(record)
     return Dataset(clips)
+
+
+def _extents_mismatch(clip: ClipRecord, first: ClipRecord) -> str:
+    return (f"clip {clip.clip_id!r} has extents {clip.features.payload.shape}, "
+            f"clip {first.clip_id!r} has {first.features.payload.shape}")
 
 
 # -- synthetic data -----------------------------------------------------------

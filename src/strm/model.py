@@ -208,15 +208,17 @@ class ForwardResult:
     loss_qc: float
 
 
-def enrich_block(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
+def enrich_block(tape: Tape, clips: Sequence[np.ndarray], params: ModelParams,
                  config: ModelConfig) -> tuple[Tensor, Tensor]:
     """Enrich many clips in one batched pass.
 
-    Returns (pooled, enriched), the clips' frame rows back to back, each
-    [n * frames x channels]: pooled over patches after patch enrichment, and
-    enriched after frame enrichment. With frame enrichment off they are one
-    tensor. Clip values are module inputs, so stacking them outside the tape
-    is gradient-free.
+    Takes the clips' [frames x patches x channels] arrays as stored (float32
+    or float64) and returns (pooled, enriched), the clips' frame rows back to
+    back, each [n * frames x channels]: pooled over patches after patch
+    enrichment, and enriched after frame enrichment. With frame enrichment
+    off they are one tensor. Clip values are module inputs, so stacking them
+    outside the tape is gradient-free; the stacking is also the one place
+    they are widened to float64, which is exact.
     """
     for values in clips:
         if values.ndim != 3 or values.shape[0] != config.frames \
@@ -226,7 +228,7 @@ def enrich_block(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
                 f"[{config.frames} x patches x {config.channels}]")
     n = len(clips)
     frames = config.frames
-    block = Tensor(np.concatenate([v.data for v in clips], axis=0))
+    block = Tensor(np.concatenate(clips, axis=0, dtype=np.float64))
     if params.ple is not None:
         pooled = enrichment.ple_forward_batch(tape, block, params.ple)
     else:
@@ -243,7 +245,7 @@ def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
                  need_pooled: bool = True) -> list[tuple[Tensor | None, Tensor]]:
     """Per-clip (pooled, enriched) [frames x channels] pairs: enrich_block
     split into row slices. Pooled is None when not requested."""
-    pooled_all, enriched_all = enrich_block(tape, clips, params, config)
+    pooled_all, enriched_all = enrich_block(tape, [v.data for v in clips], params, config)
     out: list[tuple[Tensor | None, Tensor]] = []
     for i in range(len(clips)):
         start, stop = i * config.frames, (i + 1) * config.frames
@@ -269,8 +271,8 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
     """
     shots = [len(way_clips) for way_clips in episode.support]
     matching.check_class_sizes(shots)
-    clips = [rec.features.values for way_clips in episode.support for rec in way_clips]
-    clips += [rec.features.values for rec, _ in episode.queries]
+    clips = [rec.features.payload for way_clips in episode.support for rec in way_clips]
+    clips += [rec.features.payload for rec, _ in episode.queries]
     pooled, enriched = enrich_block(tape, clips, params, config)
     support_rows = sum(shots) * config.frames
     query_shape = (len(episode.queries), config.frames, config.channels)

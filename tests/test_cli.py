@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +208,21 @@ def test_eval_extent_mismatch_rejected(tmp_path, tiny_data):
     code = run(["eval", "--data", str(tiny_data), "--checkpoint", str(bad),
                 "--episodes", "4", "--ways", "2", "--shots", "1"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("frames,patches", [(1, 4), (4, 3)])
+def test_eval_bad_clip_extents_are_io_errors_naming_the_file(
+        tmp_path, tiny_data, tiny_checkpoint, capsys, frames, patches):
+    """A one-frame clip, or one whose extents differ from the first clip's,
+    exits 3 and names the clip file."""
+    data = tmp_path / "ds"
+    shutil.copytree(tiny_data, data)
+    rel, label = (data / "manifest.tsv").read_text().splitlines()[1].split("\t")
+    header = struct.pack("<4sIIIII", b"STFB", 1, int(label), frames, patches, 8)
+    (data / rel).write_bytes(header + np.ones(frames * patches * 8, "<f4").tobytes())
+    assert run(["eval", "--data", str(data), "--checkpoint", str(tiny_checkpoint),
+                "--episodes", "2", "--ways", "2", "--shots", "1"]) == EXIT_IO
+    assert str(data / rel) in capsys.readouterr().err
 
 
 def test_eval_missing_files_are_io_errors(tmp_path, tiny_data):

@@ -179,8 +179,7 @@ def pooled_raw(clips):
     frames, patches, channels = clips[0].shape
     cfg = ModelConfig(frames=frames, patches=patches, channels=channels,
                       use_ple=False, use_fle=False, use_qc=False)
-    pooled, enriched = enrich_block(Tape(), [Tensor(c) for c in clips],
-                                    build_params(cfg), cfg)
+    pooled, enriched = enrich_block(Tape(), clips, build_params(cfg), cfg)
     assert pooled is enriched
     return pooled.data
 

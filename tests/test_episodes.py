@@ -2,12 +2,13 @@
 structure, and episode sampling determinism."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from strm.diffcore import Tensor
-from strm.episodes import (BadMagicError, ClipRecord, Dataset, Episode,
+from strm.episodes import (BadMagicError, ClipFormatError, ClipRecord, Dataset, Episode,
                            EpisodeSpec, ExtentOverflowError, FeatureClip,
                            InsufficientClipsError, NonFiniteClipError, SyntheticSpec,
                            TruncatedPayloadError, VersionMismatchError,
@@ -113,6 +114,64 @@ def test_nonfinite_payload_names_file_and_element(tmp_path, bad):
     with pytest.raises(NonFiniteClipError, match="frame 2, patch 1, channel 0") as info:
         load_clip(path)
     assert str(path) in str(info.value)
+
+
+def write_raw_clip(path, label, values):
+    """A clip file written byte by byte, for extents save_clip refuses."""
+    frames, patches, channels = values.shape
+    path.write_bytes(struct.pack("<4sIIIII", b"STFB", 1, label, frames, patches, channels)
+                     + values.astype("<f4").tobytes())
+
+
+def test_single_frame_clip_file_names_the_file(tmp_path):
+    path = tmp_path / "short.stfb"
+    write_raw_clip(path, 0, np.ones((1, 2, 3)))
+    with pytest.raises(ClipFormatError, match="at least 2 frames, got 1") as info:
+        load_clip(path)
+    assert str(path) in str(info.value)
+
+
+def test_mixed_extents_name_the_manifest_line_and_file(tmp_path):
+    rows = []
+    for i, patches in enumerate([2, 2, 3, 2]):
+        record = make_clip(label=i, patches=patches, seed=i)
+        save_clip(record, tmp_path / f"{record.clip_id}.stfb")
+        rows.append((f"{record.clip_id}.stfb", i))
+    write_manifest(rows, tmp_path / "manifest.tsv")
+    with pytest.raises(ClipFormatError) as info:
+        load_dataset(tmp_path / "manifest.tsv")
+    message = str(info.value)
+    assert message.startswith(f"{tmp_path / 'manifest.tsv'}:3: {tmp_path / 'clip2.stfb'}: ")
+    assert "(4, 3, 3)" in message and "(4, 2, 3)" in message and "'clip0'" in message
+
+
+def test_in_memory_mixed_extents_name_the_clip():
+    clips = [make_clip(patches=patches, seed=i) for i, patches in enumerate([2, 3])]
+    with pytest.raises(ValueError, match="clip 'clip1' has extents \\(4, 3, 3\\), "
+                                         "clip 'clip0' has \\(4, 2, 3\\)"):
+        Dataset(clips)
+
+
+def test_loaded_clip_keeps_its_float32_payload_read_only(tmp_path):
+    record = make_clip()
+    path = tmp_path / "a.stfb"
+    save_clip(record, path)
+    payload = load_clip(path).features.payload
+    assert payload.dtype == np.float32 and payload.shape == (4, 2, 3)
+    assert not payload.flags.writeable
+    with pytest.raises(ValueError):
+        payload[0, 0, 0] = 1.0
+    widened = load_clip(path).features.values
+    assert isinstance(widened, Tensor) and widened.data.dtype == np.float64
+    assert widened.data.tobytes() == payload.astype(np.float64).tobytes()
+
+
+def test_in_memory_clip_keeps_its_float64_tensor():
+    values = np.random.default_rng(0).standard_normal((3, 2, 4))
+    clip = FeatureClip(Tensor(values))
+    assert clip.payload is values
+    assert clip.values.data is values
+    assert (clip.frames, clip.patches, clip.channels) == (3, 2, 4)
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 """Training tests: optimizer semantics, loss composition, checkpoints,
 metric-log determinism, and the whole-model gradient check."""
 
+import hashlib
 import math
 import os
 import tracemalloc
@@ -11,8 +12,9 @@ import pytest
 
 from strm import cli, training
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
-from strm.episodes import EpisodeSpec, SyntheticSpec, filter_labels, \
-    generate_synthetic, sample_episode
+from strm.episodes import ClipRecord, Dataset, EpisodeSpec, FeatureClip, SyntheticSpec, \
+    filter_labels, generate_synthetic, load_dataset, sample_episode, save_clip, \
+    write_manifest
 from strm.matching import (embed_class_supports, enumerate_tuples, qc_similarity,
                            trm_distance, trm_logits)
 from strm.model import (ModelConfig, build_params, enrich_clips, forward_episode,
@@ -422,6 +424,86 @@ def test_evaluate_peak_memory_below_recording_tape(monkeypatch):
     forward_only = peak_bytes()
     recording_evaluate(monkeypatch)
     assert forward_only < 0.75 * peak_bytes()
+
+
+def test_evaluate_peak_memory_within_a_few_episode_blocks():
+    """One forward-only evaluate episode at P^2=16, D=64 peaks, by
+    tracemalloc, at no more than 4.5 times the bytes of its widened clip
+    block (30 clips x 8 frames x 16 patches x 64 channels in float64): PLE's
+    keys, their transpose and its values die as soon as their products
+    exist."""
+    ds = generate_synthetic(SyntheticSpec(num_classes=5, clips_per_class=6, frames=8,
+                                          patches=16, channels=64, seed=0))
+    cfg = ModelConfig(patches=16, channels=64, refine_hidden=32, embed_dim=32,
+                      code_dim=32, seed=0)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=5, shots=5, seed=0)
+    block_bytes = 5 * (5 + 1) * 8 * 16 * 64 * 8
+    tracemalloc.start()
+    try:
+        evaluate(ds, params, cfg, spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * block_bytes, peak / block_bytes
+
+
+# -- clips as stored ---------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def loaded_and_widened(tmp_path_factory):
+    """One clip set twice: loaded from files (float32 payloads) and held in
+    memory as the same values widened to float64."""
+    root = tmp_path_factory.mktemp("clips")
+    rows = []
+    for record in tiny_dataset(num_classes=5, clips=5, seed=2).clips:
+        save_clip(record, root / f"{record.clip_id}.stfb")
+        rows.append((f"{record.clip_id}.stfb", record.label))
+    write_manifest(rows, root / "manifest.tsv")
+    loaded = load_dataset(root / "manifest.tsv")
+    assert all(c.features.payload.dtype == np.float32 for c in loaded.clips)
+    widened = Dataset([ClipRecord(c.clip_id, c.label,
+                                  FeatureClip(Tensor(c.features.payload.astype(np.float64))))
+                       for c in loaded.clips])
+    return loaded, widened
+
+
+def run_digest(ds, cfg) -> str:
+    """sha256 over the logits, losses, gradients and parameters of a few SGD
+    steps, then over evaluate's and mean_pool_baseline's reports."""
+    digest = hashlib.sha256()
+    params = build_params(cfg)
+    plist = params.all()
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
+    for counter in range(3):
+        episode = sample_episode(ds, spec, counter)
+        tape = Tape()
+        tm, qc = score_episode(Tape(grad=False), episode, params, cfg)
+        digest.update(tm.data.tobytes())
+        if qc is not None:
+            digest.update(qc.data.tobytes())
+        result = forward_episode(tape, episode, params, cfg)
+        tape.backward(result.loss, plist)
+        digest.update(result.loss.data.tobytes())
+        for p in plist:
+            digest.update(p.grad.tobytes())
+        sgd_step(plist, 0.1)
+        for p in plist:
+            digest.update(p.value.data.tobytes())
+    for report in (evaluate(ds, params, cfg, spec, 4), mean_pool_baseline(ds, spec, 4)):
+        digest.update(repr(report).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("stages", sorted(STAGES))
+@pytest.mark.parametrize("omegas,keep_ratio", [((2,), 1.0), ((2, 3), 1.0), ((2,), 0.2)])
+def test_float32_clips_train_and_evaluate_bit_identical_to_widened(
+        loaded_and_widened, omegas, keep_ratio, stages):
+    cfg = ModelConfig(omegas=omegas, tuple_keep_ratio=keep_ratio, tuple_seed=1, seed=0,
+                      **STAGES[stages], **TINY)
+    loaded, widened = loaded_and_widened
+    assert run_digest(loaded, cfg) == run_digest(widened, cfg)
 
 
 def test_needs_grad_survives_checkpoint_and_sgd(tmp_path):
