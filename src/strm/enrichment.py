@@ -4,6 +4,12 @@ Two residual stages: per-frame self-attention over patch rows followed by a
 pointwise refiner (spatial enrichment), then mixer-style linear mixing first
 across the frame axis and then across channels (temporal enrichment). With
 all weights zero both stages are exact identities.
+
+Spatial enrichment is computed in folded form: the query-key product is one
+D x D matrix, the value projection is folded into the first refiner layer,
+and the patch-averaged path applies the value projection and the last
+refiner layer after pooling, so it never forms per-patch values or attended
+rows.
 """
 
 from __future__ import annotations
@@ -96,31 +102,37 @@ def _ple_core(tape: Tape, frames: Tensor,
               params: PLEParams) -> tuple[Tensor, Tensor, Tensor]:
     """Shared body of patch enrichment over [n x patches x channels] frames.
 
-    Returns the attended rows [n x patches x channels], the refiner's second
-    hidden layer [n * patches x hidden] and the pre-softmax attention scores
-    [n x patches x patches]; the linear last refiner layer is left to the
-    caller. Attention scores (x Wq)(x Wk)^T / sqrt(D) are
-    x (x M)^T with M = Wk Wq^T / sqrt(D): folding the query-key product into
-    one D x D matrix replaces the query projection of every patch row with a
-    single D^3 product.
+    Returns the pre-softmax attention scores and their softmax A [n x patches
+    x patches], and the refiner's second hidden layer [n * patches x hidden];
+    the attended rows a = A x Wv + x and the linear last refiner layer are
+    left to the caller. Scores (x Wq)(x Wk)^T / sqrt(D) are x (x M)^T with
+    M = Wk Wq^T / sqrt(D): folding the query-key product into one D x D
+    matrix replaces the query projection of every patch row with a single
+    D^3 product. The value projection is folded into the first refiner
+    layer, a R1 = A (x (Wv R1)) + x R1, so the [n * patches x channels]
+    values and attended rows are never formed: one N x D x hidden product
+    and a D x D x hidden fold replace x Wv (N x D x D) and a R1
+    (N x D x hidden).
     """
     n, n_patches, channels = frames.shape
     flat = tape.reshape(frames, (n * n_patches, channels))
     fold = tape.scale(tape.matmul(params.key_proj.value,
                                   tape.transpose(params.query_proj.value)),
                       1.0 / math.sqrt(channels))
-    # Keys, their transpose and the values are used inline, so that on a
-    # forward-only tape each [n x patches x channels] block is freed as soon
-    # as its product exists.
+    # Keys, their transpose and the value-refine rows are used inline, so
+    # that on a forward-only tape each block is freed as soon as its product
+    # exists.
     scores = tape.bmm(frames, tape.transpose(
         tape.reshape(tape.matmul(flat, fold), frames.shape)))
-    attended = tape.add(
-        tape.bmm(tape.softmax_last(scores),
-                 tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)),
-        frames)
-    flat_att = tape.reshape(attended, (n * n_patches, channels))
-    hidden = tape.relu(tape.matmul(flat_att, params.refine1.value))
-    return attended, tape.relu(tape.matmul(hidden, params.refine2.value)), scores
+    probs = tape.softmax_last(scores)
+    value_refine = tape.matmul(params.value_proj.value, params.refine1.value)
+    hidden_width = value_refine.shape[1]
+    hidden = tape.relu(tape.add(
+        tape.reshape(tape.bmm(probs, tape.reshape(tape.matmul(flat, value_refine),
+                                                  (n, n_patches, hidden_width))),
+                     (n * n_patches, hidden_width)),
+        tape.matmul(flat, params.refine1.value)))
+    return scores, probs, tape.relu(tape.matmul(hidden, params.refine2.value))
 
 
 def _ple_frame(tape: Tape, patches: Tensor, params: PLEParams) -> tuple[Tensor, Tensor]:
@@ -129,10 +141,11 @@ def _ple_frame(tape: Tape, patches: Tensor, params: PLEParams) -> tuple[Tensor, 
         raise ShapeError(
             f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
         )
-    attended, hidden, scores = _ple_core(
-        tape, tape.reshape(patches, (1,) + patches.shape), params)
-    return tape.add(tape.matmul(hidden, params.refine3.value),
-                    tape.reshape(attended, patches.shape)), scores
+    frame = tape.reshape(patches, (1,) + patches.shape)
+    scores, probs, hidden = _ple_core(tape, frame, params)
+    values = tape.reshape(tape.matmul(patches, params.value_proj.value), frame.shape)
+    attended = tape.add(tape.reshape(tape.bmm(probs, values), patches.shape), patches)
+    return tape.add(tape.matmul(hidden, params.refine3.value), attended), scores
 
 
 def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
@@ -152,18 +165,23 @@ def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
     averaged over patches, giving [n x channels]. Attention never crosses
     frame boundaries.
 
-    The last refiner layer is linear without bias, so it is applied after
-    the patch average: mean(h W3 + a) = mean(h) W3 + mean(a).
+    The last refiner layer and the value projection are linear without bias,
+    so both are applied after the patch average: with c the mean of the
+    attention rows A, mean(h W3 + A x Wv + x) = mean(h) W3 + (c x) Wv + mean(x).
     """
     if frames.ndim != 3 or frames.shape[2] != params.channels:
         raise ShapeError(
             f"ple_forward_batch needs [n x patches x {params.channels}], "
             f"got {frames.shape}")
-    n, n_patches, _ = frames.shape
-    attended, hidden, _ = _ple_core(tape, frames, params)
+    n, n_patches, channels = frames.shape
+    _, probs, hidden = _ple_core(tape, frames, params)
     pooled_hidden = tape.mean(tape.reshape(hidden, (n, n_patches, hidden.shape[1])), axis=1)
+    context = tape.reshape(
+        tape.bmm(tape.reshape(tape.mean(probs, axis=1), (n, 1, n_patches)), frames),
+        (n, channels))
     return tape.add(tape.matmul(pooled_hidden, params.refine3.value),
-                    tape.mean(attended, axis=1))
+                    tape.add(tape.matmul(context, params.value_proj.value),
+                             tape.mean(frames, axis=1)))
 
 
 def fle_forward_batch(tape: Tape, clips: Tensor, params: FLEParams) -> Tensor:

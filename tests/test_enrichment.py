@@ -151,10 +151,12 @@ def test_batched_paths_match_single():
         assert np.abs(fbatched.data[i] - single.data).max() <= 1e-12
 
 
-@pytest.mark.parametrize("frames,patches,channels,hidden", [(5, 1, 4, 3), (2, 3, 9, 4)])
+@pytest.mark.parametrize("frames,patches,channels,hidden",
+                         [(5, 1, 4, 3), (2, 3, 9, 4), (3, 16, 256, 128)])
 def test_pooled_ple_matches_oracle_mean(frames, patches, channels, hidden):
-    """One patch per frame, and more channels than patch rows in the block,
-    where the folded score product is the costlier form."""
+    """One patch per frame; more channels than patch rows in the block, where
+    the folded score product is the costlier form; and eval-wide sizes, where
+    the value projection is folded into a narrower refiner."""
     rng = np.random.default_rng([frames, patches, channels])
     ple = init_ple_params(channels, hidden, lambda n: [channels, sum(n.encode())])
     x = rng.standard_normal((frames, patches, channels))
@@ -255,12 +257,13 @@ def test_fle_is_order_sensitive(seed):
 # -- gradients ------------------------------------------------------------------
 
 
-def test_enrichment_gradients_match_finite_differences():
+def check_enrichment_gradients(frames, patches, channels, hidden):
+    """Batched PLE, then FLE, against central differences."""
     rng = np.random.default_rng(13)
-    ple = init_ple_params(3, 4, seed_for)
-    fle = init_fle_params(4, 3, seed_for)
+    ple = init_ple_params(channels, hidden, seed_for)
+    fle = init_fle_params(frames, channels, seed_for)
     params = ple.all() + fle.all()
-    x = rng.standard_normal((4, 2, 3))
+    x = rng.standard_normal((frames, patches, channels))
 
     def build(tape):
         pooled = ple_forward_batch(tape, Tensor(x), ple)
@@ -277,6 +280,17 @@ def test_enrichment_gradients_match_finite_differences():
         a, f = analytic[p.name], numeric[p.name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
         assert np.max(np.abs(a - f) / denom) <= 1e-5
+
+
+def test_enrichment_gradients_match_finite_differences():
+    check_enrichment_gradients(frames=4, patches=2, channels=3, hidden=4)
+
+
+def test_pooled_ple_gradients_with_narrow_refiner():
+    """More patches and a refiner narrower than the channels: the value
+    projection reaches the pooled output both through the folded refiner and
+    through the pooled context."""
+    check_enrichment_gradients(frames=3, patches=4, channels=5, hidden=3)
 
 
 # -- shape contracts ---------------------------------------------------------------

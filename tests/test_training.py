@@ -428,10 +428,11 @@ def test_evaluate_peak_memory_below_recording_tape(monkeypatch):
 
 def test_evaluate_peak_memory_within_a_few_episode_blocks():
     """One forward-only evaluate episode at P^2=16, D=64 peaks, by
-    tracemalloc, at no more than 4.5 times the bytes of its widened clip
-    block (30 clips x 8 frames x 16 patches x 64 channels in float64): PLE's
-    keys, their transpose and its values die as soon as their products
-    exist."""
+    tracemalloc, at no more than 3.5 times the bytes of its widened clip
+    block (30 clips x 8 frames x 16 patches x 64 channels in float64): the
+    block, PLE's keys and their transpose are the only intermediates that
+    wide (about 3x), and each key block dies as soon as its product exists;
+    PLE forms no value or attended rows."""
     ds = generate_synthetic(SyntheticSpec(num_classes=5, clips_per_class=6, frames=8,
                                           patches=16, channels=64, seed=0))
     cfg = ModelConfig(patches=16, channels=64, refine_hidden=32, embed_dim=32,
@@ -445,7 +446,7 @@ def test_evaluate_peak_memory_within_a_few_episode_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * block_bytes, peak / block_bytes
+    assert peak <= 3.5 * block_bytes, peak / block_bytes
 
 
 # -- clips as stored ---------------------------------------------------------------------
