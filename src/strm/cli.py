@@ -337,17 +337,13 @@ def cmd_attn_export(args) -> int:
     _write_run_manifest(outdir, "attn-export", args, {
         "norms_csv": "frame_*.csv", "pgm": "frame_*.pgm",
         "scores_csv": "scores_*.csv"})
-    norm_rows = []
-    values = clip.values.data
-    for i in range(clip.frames):
-        scores, norms = ple_patch_diagnostics(values[i], params.ple)
-        norm_rows.append(norms)
+    all_scores, all_norms = ple_patch_diagnostics(clip.payload, params.ple)
+    for i, scores in enumerate(all_scores):
         score_text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in scores)
         write_atomic(outdir / f"scores_{i:02d}.csv", (score_text + "\n").encode("utf-8"))
-    all_norms = np.stack(norm_rows)
     lo = float(all_norms.min())
     hi = float(all_norms.max())
-    for i, norms in enumerate(norm_rows):
+    for i, norms in enumerate(all_norms):
         grid = norms.reshape(side, side)
         csv_text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in grid)
         write_atomic(outdir / f"frame_{i:02d}.csv", (csv_text + "\n").encode("utf-8"))

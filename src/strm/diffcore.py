@@ -252,10 +252,11 @@ class Tape:
     # -- structural ops -----------------------------------------------------
 
     def transpose(self, x: Tensor) -> Tensor:
-        """Swap the last two axes (a batched transpose for rank > 2)."""
+        """Swap the last two axes (a batched transpose for rank > 2), as a
+        view: tensors are never mutated."""
         if x.ndim < 2:
             raise ShapeError(f"transpose needs rank >= 2, got {x.shape}")
-        out = Tensor(np.swapaxes(x.data, -1, -2).copy())
+        out = Tensor(np.swapaxes(x.data, -1, -2))
 
         def backward(g, adj):
             _accum(adj, x, np.swapaxes(g, -1, -2))

@@ -9,7 +9,8 @@ Spatial enrichment is computed in folded form: the query-key product is one
 D x D matrix, the value projection is folded into the first refiner layer,
 and the patch-averaged path applies the value projection and the last
 refiner layer after pooling, so it never forms per-patch values or attended
-rows.
+rows. The folds depend on the weights alone (ple_folds), so a caller that
+enriches its frames block by block forms them once for all blocks.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "init_fle_params",
     "ple_forward",
     "ple_forward_batch",
+    "ple_folds",
     "fle_forward",
     "fle_forward_batch",
     "ple_patch_diagnostics",
@@ -98,34 +100,40 @@ def init_fle_params(frames: int, channels: int, seed_for) -> FLEParams:
     )
 
 
-def _ple_core(tape: Tape, frames: Tensor,
-              params: PLEParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Shared body of patch enrichment over [n x patches x channels] frames.
+def ple_folds(tape: Tape, params: PLEParams) -> tuple[Tensor, Tensor]:
+    """PLE's two weight folds, formed once per set of weights and shared by
+    every block it enriches: the query-key fold M = Wk Wq^T / sqrt(D) and the
+    value-refine fold Wv R1, each D x D or D x hidden."""
+    return (tape.scale(tape.matmul(params.key_proj.value,
+                                   tape.transpose(params.query_proj.value)),
+                       1.0 / math.sqrt(params.channels)),
+            tape.matmul(params.value_proj.value, params.refine1.value))
+
+
+def _ple_core(tape: Tape, frames: Tensor, params: PLEParams,
+              folds: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor, Tensor]:
+    """Shared body of patch enrichment over [n x patches x channels] frames,
+    given ple_folds(params).
 
     Returns the pre-softmax attention scores and their softmax A [n x patches
     x patches], and the refiner's second hidden layer [n * patches x hidden];
     the attended rows a = A x Wv + x and the linear last refiner layer are
     left to the caller. Scores (x Wq)(x Wk)^T / sqrt(D) are x (x M)^T with
-    M = Wk Wq^T / sqrt(D): folding the query-key product into one D x D
-    matrix replaces the query projection of every patch row with a single
-    D^3 product. The value projection is folded into the first refiner
-    layer, a R1 = A (x (Wv R1)) + x R1, so the [n * patches x channels]
-    values and attended rows are never formed: one N x D x hidden product
-    and a D x D x hidden fold replace x Wv (N x D x D) and a R1
-    (N x D x hidden).
+    the query-key fold M, which replaces the query projection of every patch
+    row. The value-refine fold puts the value projection into the first
+    refiner layer, a R1 = A (x (Wv R1)) + x R1, so the [n * patches x
+    channels] values and attended rows are never formed: one N x D x hidden
+    product replaces x Wv (N x D x D) and a R1 (N x D x hidden).
     """
     n, n_patches, channels = frames.shape
+    key_fold, value_refine = folds
     flat = tape.reshape(frames, (n * n_patches, channels))
-    fold = tape.scale(tape.matmul(params.key_proj.value,
-                                  tape.transpose(params.query_proj.value)),
-                      1.0 / math.sqrt(channels))
-    # Keys, their transpose and the value-refine rows are used inline, so
-    # that on a forward-only tape each block is freed as soon as its product
-    # exists.
+    # Keys, their transposed view and the value-refine rows are used inline,
+    # so that on a forward-only tape each block is freed as soon as its
+    # product exists.
     scores = tape.bmm(frames, tape.transpose(
-        tape.reshape(tape.matmul(flat, fold), frames.shape)))
+        tape.reshape(tape.matmul(flat, key_fold), frames.shape)))
     probs = tape.softmax_last(scores)
-    value_refine = tape.matmul(params.value_proj.value, params.refine1.value)
     hidden_width = value_refine.shape[1]
     hidden = tape.relu(tape.add(
         tape.reshape(tape.bmm(probs, tape.reshape(tape.matmul(flat, value_refine),
@@ -135,17 +143,15 @@ def _ple_core(tape: Tape, frames: Tensor,
     return scores, probs, tape.relu(tape.matmul(hidden, params.refine2.value))
 
 
-def _ple_frame(tape: Tape, patches: Tensor, params: PLEParams) -> tuple[Tensor, Tensor]:
-    """ple_forward's output and the frame's attention scores [1 x P x P]."""
-    if patches.ndim != 2 or patches.shape[1] != params.channels:
-        raise ShapeError(
-            f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
-        )
-    frame = tape.reshape(patches, (1,) + patches.shape)
-    scores, probs, hidden = _ple_core(tape, frame, params)
-    values = tape.reshape(tape.matmul(patches, params.value_proj.value), frame.shape)
-    attended = tape.add(tape.reshape(tape.bmm(probs, values), patches.shape), patches)
-    return tape.add(tape.matmul(hidden, params.refine3.value), attended), scores
+def _ple_patches(tape: Tape, frames: Tensor, params: PLEParams) -> tuple[Tensor, Tensor]:
+    """Patch-enriched rows of [n x patches x channels] frames, in that shape,
+    and the frames' attention scores [n x patches x patches]."""
+    scores, probs, hidden = _ple_core(tape, frames, params, ple_folds(tape, params))
+    flat = tape.reshape(frames, (hidden.shape[0], params.channels))
+    values = tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)
+    attended = tape.add(tape.reshape(tape.bmm(probs, values), flat.shape), flat)
+    return (tape.reshape(tape.add(tape.matmul(hidden, params.refine3.value), attended),
+                         frames.shape), scores)
 
 
 def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
@@ -156,14 +162,21 @@ def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
     linear final layer) is applied per patch with a second residual. Shape
     [patches x channels] is preserved.
     """
-    return _ple_frame(tape, patches, params)[0]
+    if patches.ndim != 2 or patches.shape[1] != params.channels:
+        raise ShapeError(
+            f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
+        )
+    frame = tape.reshape(patches, (1,) + patches.shape)
+    return tape.reshape(_ple_patches(tape, frame, params)[0], patches.shape)
 
 
-def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
+def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams,
+                      folds: tuple[Tensor, Tensor]) -> Tensor:
     """Patch-enriched frame features: ple_forward applied to every
     [patches x channels] slice of a [n x patches x channels] block, then
     averaged over patches, giving [n x channels]. Attention never crosses
-    frame boundaries.
+    frame boundaries. folds is ple_folds(tape, params), formed once by a
+    caller that enriches several blocks with one set of weights.
 
     The last refiner layer and the value projection are linear without bias,
     so both are applied after the patch average: with c the mean of the
@@ -174,7 +187,7 @@ def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
             f"ple_forward_batch needs [n x patches x {params.channels}], "
             f"got {frames.shape}")
     n, n_patches, channels = frames.shape
-    _, probs, hidden = _ple_core(tape, frames, params)
+    _, probs, hidden = _ple_core(tape, frames, params, folds)
     pooled_hidden = tape.mean(tape.reshape(hidden, (n, n_patches, hidden.shape[1])), axis=1)
     context = tape.reshape(
         tape.bmm(tape.reshape(tape.mean(probs, axis=1), (n, 1, n_patches)), frames),
@@ -222,16 +235,21 @@ def fle_forward(tape: Tape, frames: Tensor, params: FLEParams) -> Tensor:
                                           params), frames.shape)
 
 
-def ple_patch_diagnostics(patches: np.ndarray, params: PLEParams | None):
-    """Per-frame attention diagnostics for export: pre-softmax score rows and
-    the per-patch L2 activation magnitudes after enrichment.
+def ple_patch_diagnostics(clip: np.ndarray, params: PLEParams | None):
+    """Per-frame attention diagnostics of one clip [frames x patches x
+    channels] for export: pre-softmax score rows and the per-patch L2
+    activation magnitudes after enrichment, from one pass over the clip.
 
     With no enrichment weights the activations are the raw patches and the
-    score matrix is zero. Returns (scores [P2 x P2], patch_norms [P2]).
+    score matrices are zero. Returns (scores [frames x P2 x P2], patch_norms
+    [frames x P2]).
     """
-    x = np.asarray(patches, dtype=np.float64)
+    x = Tensor(np.asarray(clip, dtype=np.float64))
+    if x.ndim != 3 or (params is not None and x.shape[2] != params.channels):
+        raise ShapeError(f"ple_patch_diagnostics needs [frames x patches x channels] "
+                         f"matching the weights, got {x.shape}")
     if params is None:
-        n_patches = x.shape[0]
-        return np.zeros((n_patches, n_patches)), np.sqrt((x * x).sum(axis=1))
-    enriched, scores = _ple_frame(Tape(grad=False), Tensor(x), params)
-    return scores.data[0], np.sqrt((enriched.data * enriched.data).sum(axis=1))
+        n, n_patches, _ = x.shape
+        return np.zeros((n, n_patches, n_patches)), np.sqrt((x.data * x.data).sum(axis=2))
+    enriched, scores = _ple_patches(Tape(grad=False), x, params)
+    return scores.data, np.sqrt((enriched.data * enriched.data).sum(axis=2))

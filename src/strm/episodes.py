@@ -82,7 +82,8 @@ class FeatureClip:
     loaded clip holds its float32 payload as a read-only view of the file's
     bytes, a clip built in memory from a Tensor holds its float64 array.
     `values` is the float64 Tensor of the features, widened when stored as
-    float32; the model widens a whole episode at once instead (enrich_block).
+    float32; the model widens an episode's clips a group at a time instead
+    (enrich_block).
     """
 
     __slots__ = ("payload",)

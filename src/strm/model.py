@@ -24,6 +24,7 @@ __all__ = [
     "params_from_arrays",
     "infer_config",
     "validate_against",
+    "ENRICH_GROUP_BYTES",
     "enrich_block",
     "enrich_clips",
     "score_episode",
@@ -208,36 +209,52 @@ class ForwardResult:
     loss_qc: float
 
 
+# Bytes of float64 clip rows that enrich_block widens and patch-enriches at a
+# time, about a core's L2 cache: patch enrichment's transient is a few times
+# one group's block instead of growing with the clips per call. A group holds
+# at least one clip.
+ENRICH_GROUP_BYTES = 2 << 20
+
+
 def enrich_block(tape: Tape, clips: Sequence[np.ndarray], params: ModelParams,
                  config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Enrich many clips in one batched pass.
+    """Enrich many clips in batched passes.
 
     Takes the clips' [frames x patches x channels] arrays as stored (float32
     or float64) and returns (pooled, enriched), the clips' frame rows back to
     back, each [n * frames x channels]: pooled over patches after patch
     enrichment, and enriched after frame enrichment. With frame enrichment
-    off they are one tensor. Clip values are module inputs, so stacking them
-    outside the tape is gradient-free; the stacking is also the one place
-    they are widened to float64, which is exact.
+    off they are one tensor. Patch enrichment never crosses a frame, so the
+    clips are widened and patch-enriched in consecutive groups of at most
+    ENRICH_GROUP_BYTES (at least one clip each), sharing PLE's folds, and
+    every row is the same whatever the grouping. Clip values are module
+    inputs, so stacking a group outside the tape is gradient-free; it is
+    also the one place they are widened to float64, which is exact.
     """
     for values in clips:
         if values.ndim != 3 or values.shape[0] != config.frames \
-                or values.shape[2] != config.channels:
+                or values.shape[2] != config.channels or values.shape != clips[0].shape:
             raise ShapeError(
                 f"clip shape {values.shape} does not match config "
-                f"[{config.frames} x patches x {config.channels}]")
+                f"[{config.frames} x patches x {config.channels}] and the "
+                f"first clip {clips[0].shape}")
     n = len(clips)
-    frames = config.frames
-    block = Tensor(np.concatenate(clips, axis=0, dtype=np.float64))
-    if params.ple is not None:
-        pooled = enrichment.ple_forward_batch(tape, block, params.ple)
-    else:
-        pooled = tape.mean(block, axis=1)  # (n * frames) x channels
+    per_group = max(1, ENRICH_GROUP_BYTES // (8 * clips[0].size))
+    folds = None if params.ple is None else enrichment.ple_folds(tape, params.ple)
+
+    def pool(group: Sequence[np.ndarray]) -> Tensor:
+        block = Tensor(np.concatenate(group, axis=0, dtype=np.float64))
+        if folds is None:
+            return tape.mean(block, axis=1)  # (group * frames) x channels
+        return enrichment.ple_forward_batch(tape, block, params.ple, folds)
+
+    parts = [pool(clips[i:i + per_group]) for i in range(0, n, per_group)]
+    pooled = parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
     if params.fle is None:
         return pooled, pooled
     enriched = enrichment.fle_forward_batch(
-        tape, tape.reshape(pooled, (n, frames, config.channels)), params.fle)
-    return pooled, tape.reshape(enriched, (n * frames, config.channels))
+        tape, tape.reshape(pooled, (n, config.frames, config.channels)), params.fle)
+    return pooled, tape.reshape(enriched, (n * config.frames, config.channels))
 
 
 def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,

@@ -314,8 +314,8 @@ def test_attn_export_csv_matches_recomputed_norms(tmp_path, tiny_data, tiny_chec
                 "--clip", str(clip_path), "--out", str(out)]) == EXIT_OK
     params = params_from_arrays(load_checkpoint(tiny_checkpoint))
     record = load_clip(clip_path)
-    for i in range(record.features.frames):
-        _, norms = ple_patch_diagnostics(record.features.values.data[i], params.ple)
+    _, all_norms = ple_patch_diagnostics(record.features.payload, params.ple)
+    for i, norms in enumerate(all_norms):
         grid = np.array([[float(v) for v in line.split(",")]
                          for line in (out / f"frame_{i:02d}.csv")
                          .read_text().strip().splitlines()])

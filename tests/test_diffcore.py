@@ -523,6 +523,17 @@ def test_slice_rows_out_of_range():
             Tape().slice_rows(x, start, stop)
 
 
+
+def test_transpose_is_a_view():
+    """transpose swaps strides instead of copying, for a matrix and a batch of
+    matrices, recording or not."""
+    for shape in ((3, 4), (2, 3, 4)):
+        x = Tensor(np.arange(math.prod(shape), dtype=np.float64).reshape(shape))
+        for tape in (Tape(), Tape(grad=False)):
+            out = tape.transpose(x)
+            assert np.shares_memory(out.data, x.data)
+            assert np.array_equal(out.data, np.swapaxes(x.data, -1, -2))
+
 # -- heap policy ---------------------------------------------------------------------
 
 TRAINING_FAULTS = """

@@ -7,7 +7,8 @@ import pytest
 from strm.diffcore import Param, ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
 from strm.enrichment import (fle_forward, fle_forward_batch,
                              init_fle_params, init_ple_params, ple_forward,
-                             ple_forward_batch, ple_patch_diagnostics)
+                             ple_folds, ple_forward_batch, ple_patch_diagnostics)
+from strm import model
 from strm.model import ModelConfig, build_params, enrich_block
 
 from test_diffcore import l2_norm
@@ -139,7 +140,8 @@ def test_batched_paths_match_single():
     ple = init_ple_params(4, 3, seed_for)
     fle = init_fle_params(3, 4, seed_for)
     frames = rng.standard_normal((6, 2, 4))
-    batched = ple_forward_batch(Tape(), Tensor(frames), ple)
+    tape = Tape()
+    batched = ple_forward_batch(tape, Tensor(frames), ple, ple_folds(tape, ple))
     for i in range(6):
         single = ple_forward(Tape(), Tensor(frames[i]), ple)
         assert np.abs(batched.data[i] - single.data.mean(axis=0)).max() <= 1e-12
@@ -160,7 +162,8 @@ def test_pooled_ple_matches_oracle_mean(frames, patches, channels, hidden):
     rng = np.random.default_rng([frames, patches, channels])
     ple = init_ple_params(channels, hidden, lambda n: [channels, sum(n.encode())])
     x = rng.standard_normal((frames, patches, channels))
-    pooled = ple_forward_batch(Tape(), Tensor(x), ple)
+    tape = Tape()
+    pooled = ple_forward_batch(tape, Tensor(x), ple, ple_folds(tape, ple))
     assert pooled.shape == (frames, channels)
     expected = np.stack([ple_oracle(x[i], ple).mean(axis=0) for i in range(frames)])
     assert np.abs(pooled.data - expected).max() <= 1e-12
@@ -168,7 +171,8 @@ def test_pooled_ple_matches_oracle_mean(frames, patches, channels, hidden):
 
 def test_pooled_ple_zero_params_is_patch_mean():
     x = np.random.default_rng(16).standard_normal((3, 4, 6))
-    out = ple_forward_batch(Tape(), Tensor(x), zero_ple(6, 5))
+    tape, ple = Tape(), zero_ple(6, 5)
+    out = ple_forward_batch(tape, Tensor(x), ple, ple_folds(tape, ple))
     assert np.abs(out.data - x.mean(axis=1)).max() <= 1e-12
 
 
@@ -204,9 +208,50 @@ def test_pool_matches_bruteforce_mean():
     assert np.abs(pooled_raw(clips) - expected).max() <= 1e-12
 
 
-def test_pool_rejects_inconsistent_shapes():
+def test_pool_rejects_inconsistent_shapes(monkeypatch):
     with pytest.raises(ShapeError):
         pooled_raw([np.ones((2, 3, 3)), np.ones((3, 3, 3))])
+    # Clips whose patch counts differ are rejected even when each is its own
+    # group, where the pooled rows alone would join without complaint.
+    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 1)
+    with pytest.raises(ShapeError):
+        pooled_raw([np.ones((2, 3, 3)), np.ones((2, 4, 3))])
+
+
+def count_group_joins(monkeypatch):
+    """Record the part count of every Tape.concat call: enrich_block joins its
+    groups' pooled rows with one concat, and only when there are several."""
+    joins = []
+    concat = Tape.concat
+
+    def counting(self, parts, axis):
+        joins.append(len(parts))
+        return concat(self, parts, axis)
+
+    monkeypatch.setattr(Tape, "concat", counting)
+    return joins
+
+
+@pytest.mark.parametrize("use_ple", [True, False])
+@pytest.mark.parametrize("use_fle", [True, False])
+def test_enrich_block_rows_independent_of_grouping(monkeypatch, use_ple, use_fle):
+    """Patch enrichment never crosses a frame and frame enrichment never
+    crosses a clip, so the rows are bit-identical whether the clips are
+    enriched as one group or three."""
+    rng = np.random.default_rng(18)
+    cfg = ModelConfig(patches=16, channels=64, use_ple=use_ple, use_fle=use_fle,
+                      use_qc=False)
+    params = build_params(cfg)
+    clips = [rng.standard_normal((8, 16, 64)).astype(np.float32) for _ in range(7)]
+    joins = count_group_joins(monkeypatch)
+    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 8 * sum(c.size for c in clips))
+    whole = enrich_block(Tape(grad=False), clips, params, cfg)
+    assert joins == []
+    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 3 * 8 * clips[0].size)
+    grouped = enrich_block(Tape(grad=False), clips, params, cfg)
+    assert joins == [3]
+    for one, many in zip(whole, grouped):
+        assert np.array_equal(one.data, many.data)
 
 
 # -- permutation structure ---------------------------------------------------
@@ -232,8 +277,10 @@ def test_ple_is_frame_local():
     clip2[2] += 10.0  # perturb a different frame
     out_after = ple_forward(Tape(), Tensor(clip2[1]), params)
     assert np.array_equal(out_before.data, out_after.data)
-    pooled = ple_forward_batch(Tape(), Tensor(clip), params)
-    pooled2 = ple_forward_batch(Tape(), Tensor(clip2), params)
+    tape = Tape()
+    folds = ple_folds(tape, params)
+    pooled = ple_forward_batch(tape, Tensor(clip), params, folds)
+    pooled2 = ple_forward_batch(tape, Tensor(clip2), params, folds)
     assert np.array_equal(pooled.data[1], pooled2.data[1])
     assert not np.allclose(pooled.data[2], pooled2.data[2])
 
@@ -257,19 +304,9 @@ def test_fle_is_order_sensitive(seed):
 # -- gradients ------------------------------------------------------------------
 
 
-def check_enrichment_gradients(frames, patches, channels, hidden):
-    """Batched PLE, then FLE, against central differences."""
-    rng = np.random.default_rng(13)
-    ple = init_ple_params(channels, hidden, seed_for)
-    fle = init_fle_params(frames, channels, seed_for)
-    params = ple.all() + fle.all()
-    x = rng.standard_normal((frames, patches, channels))
-
-    def build(tape):
-        pooled = ple_forward_batch(tape, Tensor(x), ple)
-        out = fle_forward(tape, pooled, fle)
-        return l2_norm(tape, out)
-
+def assert_gradients_match(build, params):
+    """The tape's gradients of build(tape)'s scalar against central
+    differences, within 1e-5 relative."""
     zero_grads(params)
     tape = Tape()
     loss = build(tape)
@@ -282,6 +319,21 @@ def check_enrichment_gradients(frames, patches, channels, hidden):
         assert np.max(np.abs(a - f) / denom) <= 1e-5
 
 
+def check_enrichment_gradients(frames, patches, channels, hidden):
+    """Batched PLE, then FLE, against central differences."""
+    rng = np.random.default_rng(13)
+    ple = init_ple_params(channels, hidden, seed_for)
+    fle = init_fle_params(frames, channels, seed_for)
+    x = rng.standard_normal((frames, patches, channels))
+
+    def build(tape):
+        pooled = ple_forward_batch(tape, Tensor(x), ple, ple_folds(tape, ple))
+        out = fle_forward(tape, pooled, fle)
+        return l2_norm(tape, out)
+
+    assert_gradients_match(build, ple.all() + fle.all())
+
+
 def test_enrichment_gradients_match_finite_differences():
     check_enrichment_gradients(frames=4, patches=2, channels=3, hidden=4)
 
@@ -291,6 +343,24 @@ def test_pooled_ple_gradients_with_narrow_refiner():
     projection reaches the pooled output both through the folded refiner and
     through the pooled context."""
     check_enrichment_gradients(frames=3, patches=4, channels=5, hidden=3)
+
+
+def test_grouped_enrich_block_gradients(monkeypatch):
+    """Clips enriched one per group share PLE's folds, whose gradients must
+    add up over the groups."""
+    rng = np.random.default_rng(17)
+    cfg = ModelConfig(frames=4, patches=2, channels=3, refine_hidden=4, use_qc=False)
+    params = build_params(cfg)
+    clips = [rng.standard_normal((4, 2, 3)) for _ in range(3)]
+    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 8 * clips[0].size)
+    joins = count_group_joins(monkeypatch)
+
+    def build(tape):
+        pooled, enriched = enrich_block(tape, clips, params, cfg)
+        return tape.add(l2_norm(tape, pooled), l2_norm(tape, enriched))
+
+    assert_gradients_match(build, params.ple.all() + params.fle.all())
+    assert joins[0] == 3
 
 
 # -- shape contracts ---------------------------------------------------------------
@@ -316,14 +386,21 @@ def test_channel_mismatch_rejected():
 
 
 def test_diagnostics_match_recomputed_norms():
+    """One pass over a whole clip gives every frame's scores and norms as a
+    per-frame recomputation does."""
     rng = np.random.default_rng(15)
     params = init_ple_params(4, 3, seed_for)
-    x = rng.standard_normal((4, 4))
-    scores, norms = ple_patch_diagnostics(x, params)
-    enriched = ple_forward(Tape(), Tensor(x), params)
-    assert np.abs(norms - np.linalg.norm(enriched.data, axis=1)).max() <= 1e-12
-    q = x @ params.query_proj.value.data
-    k = x @ params.key_proj.value.data
-    assert np.abs(scores - q @ k.T / np.sqrt(4)).max() <= 1e-12
-    without = ple_patch_diagnostics(x, None)
-    assert np.abs(without[1] - np.linalg.norm(x, axis=1)).max() <= 1e-12
+    clip = rng.standard_normal((3, 4, 4))
+    scores, norms = ple_patch_diagnostics(clip, params)
+    assert scores.shape == (3, 4, 4) and norms.shape == (3, 4)
+    for i, x in enumerate(clip):
+        enriched = ple_forward(Tape(), Tensor(x), params)
+        assert np.abs(norms[i] - np.linalg.norm(enriched.data, axis=1)).max() <= 1e-12
+        q = x @ params.query_proj.value.data
+        k = x @ params.key_proj.value.data
+        assert np.abs(scores[i] - q @ k.T / np.sqrt(4)).max() <= 1e-12
+    without_scores, without_norms = ple_patch_diagnostics(clip, None)
+    assert not without_scores.any()
+    assert np.abs(without_norms - np.linalg.norm(clip, axis=2)).max() <= 1e-12
+    with pytest.raises(ShapeError):
+        ple_patch_diagnostics(clip[0], params)

@@ -98,3 +98,24 @@ def test_max_rows_adjoint(rows, cols, seed):
     spread = np.stack([rng.permutation(cols) for _ in range(rows)]) * (2 * MARGIN)
     x = spread + rng.uniform(0.0, MARGIN, (rows, cols)) + rng.standard_normal((rows, 1))
     check_adjoint(lambda tape, a: tape.max_rows(a), [x], seed)
+
+
+@property_settings
+@given(batch=st.integers(0, 3), m=dims, k=dims, n=dims,
+       transposed=st.sampled_from(["left", "right", "both"]), seed=seeds)
+def test_transpose_product_chain_adjoint(batch, m, k, n, transposed, seed):
+    """Products of transposed views: matmul (batch 0) or bmm reads operands
+    with swapped strides, and the adjoints flow back through np.swapaxes
+    views of the product's gradient."""
+    rng = np.random.default_rng(seed)
+    lead = () if batch == 0 else (batch,)
+    a_shape = lead + ((k, m) if transposed != "right" else (m, k))
+    b_shape = lead + ((n, k) if transposed != "left" else (k, n))
+
+    def chain(tape, a, b):
+        left = tape.transpose(a) if transposed != "right" else a
+        right = tape.transpose(b) if transposed != "left" else b
+        product = tape.matmul(left, right) if batch == 0 else tape.bmm(left, right)
+        return tape.transpose(product)
+
+    check_adjoint(chain, [rng.standard_normal(a_shape), rng.standard_normal(b_shape)], seed)
