@@ -1,5 +1,6 @@
 """Command-line tests: file outputs, determinism, exit codes, manifests."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -50,6 +51,131 @@ def tiny_checkpoint(tmp_path_factory, tiny_data):
                 "--embed-dim", "6", "--code-dim", "4", "--seed", "0"])
     assert code == EXIT_OK
     return out / "checkpoint.stck"
+
+
+# -- parser surface -----------------------------------------------------------------
+
+# Every subcommand's options as {option strings: (dest, default, type, required)}.
+# Help text is free to change; anything pinned here is part of the CLI contract.
+PARSER_SURFACE = {
+    'synth': {
+        '--out': ('out', None, None, True),
+        '--classes': ('classes', 15, int, False),
+        '--clips': ('clips', 20, int, False),
+        '--frames': ('frames', 8, int, False),
+        '--patches': ('patches', 2, int, False),
+        '--dim': ('dim', 64, int, False),
+        '--motif-strength': ('motif_strength', 0.1, float, False),
+        '--noise-sigma': ('noise_sigma', 0.3, float, False),
+        '--seed': ('seed', 0, int, False),
+    },
+    'train': {
+        '--data': ('data', None, None, True),
+        '--out': ('out', None, None, True),
+        '--labels': ('labels', None, None, False),
+        '--eval-data': ('eval_data', None, None, False),
+        '--eval-labels': ('eval_labels', None, None, False),
+        '--eval-every': ('eval_every', 250, int, False),
+        '--eval-episodes': ('eval_episodes', 200, int, False),
+        '--seed': ('seed', 0, int, False),
+        '--refine-hidden': ('refine_hidden', 32, int, False),
+        '--embed-dim': ('embed_dim', 64, int, False),
+        '--code-dim': ('code_dim', 64, int, False),
+        '--omega': ('omega', '2', None, False),
+        '--lambda': ('qc_weight', 0.1, float, False),
+        '--no-ple': ('no_ple', False, None, False),
+        '--no-fle': ('no_fle', False, None, False),
+        '--no-qc': ('no_qc', False, None, False),
+        '--keep-ratio': ('keep_ratio', 1.0, float, False),
+        '--tuple-seed': ('tuple_seed', 0, int, False),
+        '--episodes': ('episodes', 2000, int, False),
+        '--lr': ('lr', 0.1, float, False),
+        '--accumulate-every': ('accumulate_every', 1, int, False),
+        '--ways': ('ways', 5, int, False),
+        '--shots': ('shots', 5, int, False),
+        '--queries': ('queries', 1, int, False),
+    },
+    'eval': {
+        '--data': ('data', None, None, True),
+        '--labels': ('labels', None, None, False),
+        '--checkpoint': ('checkpoint', None, None, True),
+        '--out': ('out', None, None, False),
+        '--episodes': ('episodes', 1000, int, False),
+        '--ways': ('ways', 5, int, False),
+        '--shots': ('shots', 5, int, False),
+        '--queries': ('queries', 1, int, False),
+        '--keep-ratio': ('keep_ratio', 1.0, float, False),
+        '--tuple-seed': ('tuple_seed', 0, int, False),
+        '--seed': ('seed', 12345, int, False),
+    },
+    'gradcheck': {
+        '--frames': ('frames', 4, int, False),
+        '--patches': ('patches', 2, int, False),
+        '--dim': ('dim', 8, int, False),
+        '--refine-hidden': ('refine_hidden', 8, int, False),
+        '--embed-dim': ('embed_dim', 12, int, False),
+        '--code-dim': ('code_dim', 6, int, False),
+        '--omega': ('omega', '2', None, False),
+        '--lambda': ('qc_weight', 0.1, float, False),
+        '--ways': ('ways', 2, int, False),
+        '--shots': ('shots', 1, int, False),
+        '--step': ('step', 1e-05, float, False),
+        '--threshold': ('threshold', 1e-05, float, False),
+        '--seed': ('seed', 0, int, False),
+        '--out': ('out', None, None, False),
+    },
+    'tuples': {
+        '--frames': ('frames', None, int, True),
+        '--omega': ('omega', None, None, True),
+    },
+    'ablate': {
+        '--data': ('data', None, None, True),
+        '--out': ('out', None, None, True),
+        '--labels': ('labels', None, None, False),
+        '--eval-data': ('eval_data', None, None, False),
+        '--eval-labels': ('eval_labels', None, None, False),
+        '--eval-episodes': ('eval_episodes', 1000, int, False),
+        '--eval-seed': ('eval_seed', 777, int, False),
+        '--seed': ('seed', 0, int, False),
+        '--refine-hidden': ('refine_hidden', 32, int, False),
+        '--embed-dim': ('embed_dim', 64, int, False),
+        '--code-dim': ('code_dim', 64, int, False),
+        '--omega': ('omega', '2', None, False),
+        '--lambda': ('qc_weight', 0.1, float, False),
+        '--no-ple': ('no_ple', False, None, False),
+        '--no-fle': ('no_fle', False, None, False),
+        '--no-qc': ('no_qc', False, None, False),
+        '--keep-ratio': ('keep_ratio', 1.0, float, False),
+        '--tuple-seed': ('tuple_seed', 0, int, False),
+        '--episodes': ('episodes', 2000, int, False),
+        '--lr': ('lr', 0.1, float, False),
+        '--accumulate-every': ('accumulate_every', 1, int, False),
+        '--ways': ('ways', 5, int, False),
+        '--shots': ('shots', 5, int, False),
+        '--queries': ('queries', 1, int, False),
+    },
+    'attn-export': {
+        '--checkpoint': ('checkpoint', None, None, True),
+        '--clip': ('clip', None, None, True),
+        '--out': ('out', None, None, True),
+    },
+}
+
+
+def _parser_surface() -> dict:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {" ".join(a.option_strings): (a.dest, a.default, a.type, a.required)
+                   for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+            for name, sp in sub.choices.items()}
+
+
+def test_parser_surface_is_pinned():
+    surface = _parser_surface()
+    assert list(surface) == list(PARSER_SURFACE)
+    for name, options in PARSER_SURFACE.items():
+        assert surface[name] == options, name
 
 
 # -- synth ------------------------------------------------------------------------
