@@ -9,6 +9,7 @@ seeds, output paths) before computing anything. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,14 +24,13 @@ from .diffcore import NumericalError, ShapeError
 from .enrichment import ple_patch_diagnostics
 from .episodes import (ClipFormatError, Dataset, EpisodeSpec, SyntheticSpec,
                        filter_labels, generate_synthetic, load_clip,
-                       load_dataset, save_clip, write_manifest)
+                       load_dataset, sample_episode, save_clip, write_manifest)
 from .matching import tuple_count
 from .model import (ModelConfig, build_params, infer_config, params_from_arrays,
                     validate_against)
 from .training import (CheckpointFormatError, TrainConfig, evaluate,
                        gradcheck_model, format_metrics, load_checkpoint,
                        run_ablation, save_checkpoint, train, write_atomic)
-from .episodes import sample_episode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,40 +69,52 @@ def _parse_omegas(text: str) -> tuple[int, ...]:
     return omegas
 
 
-def _dataset_manifest(path: str) -> Path:
-    p = Path(path)
-    if p.is_dir():
-        p = p / "manifest.tsv"
-    if not p.exists():
-        raise FileNotFoundError(f"dataset manifest not found: {p}")
-    return p
-
-
-def _parse_labels(text: str | None) -> list[int] | None:
-    """Parse a label filter like `0-9` or `3,5,7`."""
-    if text is None:
-        return None
+def _parse_labels(text: str, flag: str) -> list[int]:
+    """Parse the label filter given to `flag`, like `0-9` or `3,5,7`."""
     labels: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-")
-            labels.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            labels.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part:
+                lo, hi = part.split("-")
+                labels.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                labels.append(int(part))
+    except ValueError:
+        labels = []
     if not labels:
-        raise ValueError(f"bad --labels value {text!r}")
+        raise ValueError(f"bad {flag} value {text!r}, expected e.g. 0-9 or 3,5,7")
     return labels
 
 
-def _load_filtered(path: str, labels_text: str | None) -> Dataset:
-    dataset = load_dataset(_dataset_manifest(path))
-    labels = _parse_labels(labels_text)
-    return filter_labels(dataset, labels) if labels is not None else dataset
+def _load_filtered(path: str, labels_text: str | None, flag: str) -> Dataset:
+    """The dataset at `path` (a manifest or its directory), restricted to the
+    labels given to `flag` when there are any."""
+    manifest = Path(path)
+    if manifest.is_dir():
+        manifest = manifest / "manifest.tsv"
+    if not manifest.exists():
+        raise FileNotFoundError(f"dataset manifest not found: {manifest}")
+    dataset = load_dataset(manifest)
+    if labels_text is None:
+        return dataset
+    return filter_labels(dataset, _parse_labels(labels_text, flag))
 
 
-def _model_config_from_args(args, dataset: Dataset) -> ModelConfig:
-    return ModelConfig(
+def _episode_spec(args, seed: int) -> EpisodeSpec:
+    return EpisodeSpec(ways=args.ways, shots=args.shots,
+                       queries_per_class=args.queries, seed=seed)
+
+
+def _train_inputs(args, eval_every: int, eval_episodes: int):
+    """What train and ablate both start from: the training dataset, the eval
+    dataset (--eval-data, else --data, filtered by --eval-labels), and the
+    model config, train config and episode spec."""
+    dataset = _load_filtered(args.data, args.labels, "--labels")
+    eval_dataset = (_load_filtered(args.eval_data or args.data, args.eval_labels,
+                                   "--eval-labels")
+                    if args.eval_data or args.eval_labels else dataset)
+    config = ModelConfig(
         frames=dataset.frames,
         patches=dataset.patches,
         channels=dataset.channels,
@@ -118,6 +130,14 @@ def _model_config_from_args(args, dataset: Dataset) -> ModelConfig:
         tuple_seed=args.tuple_seed,
         seed=args.seed,
     )
+    train_config = TrainConfig(
+        episodes=args.episodes,
+        learning_rate=args.lr,
+        accumulate_every=args.accumulate_every,
+        eval_every=eval_every,
+        eval_episodes=eval_episodes,
+    )
+    return dataset, eval_dataset, config, train_config, _episode_spec(args, args.seed)
 
 
 # -- synth ---------------------------------------------------------------------
@@ -154,19 +174,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _load_filtered(args.data, args.labels)
-    eval_dataset = (_load_filtered(args.eval_data, args.eval_labels)
-                    if args.eval_data or args.eval_labels else None)
-    config = _model_config_from_args(args, dataset)
-    train_config = TrainConfig(
-        episodes=args.episodes,
-        learning_rate=args.lr,
-        accumulate_every=args.accumulate_every,
-        eval_every=args.eval_every,
-        eval_episodes=args.eval_episodes,
-    )
-    spec = EpisodeSpec(ways=args.ways, shots=args.shots,
-                       queries_per_class=args.queries, seed=args.seed)
+    dataset, eval_dataset, config, train_config, spec = _train_inputs(
+        args, args.eval_every, args.eval_episodes)
     outdir = Path(args.out)
     _write_run_manifest(outdir, "train", args, {
         "checkpoint": "checkpoint.stck", "metrics": "metrics.tsv"})
@@ -185,19 +194,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_filtered(args.data, args.labels)
-    arrays = load_checkpoint(args.checkpoint)
-    params = params_from_arrays(arrays)
+    dataset = _load_filtered(args.data, args.labels, "--labels")
+    params = params_from_arrays(load_checkpoint(args.checkpoint))
     config = infer_config(params, frames=dataset.frames, patches=dataset.patches,
-                          tuple_keep_ratio=args.keep_ratio, tuple_seed=args.tuple_seed)
-    if config.channels != dataset.channels:
-        raise ShapeError(
-            f"extent mismatch: checkpoint channels {config.channels} vs "
-            f"dataset channels {dataset.channels}")
+                          channels=dataset.channels, tuple_keep_ratio=args.keep_ratio,
+                          tuple_seed=args.tuple_seed)
     validate_against(params, config)
-    spec = EpisodeSpec(ways=args.ways, shots=args.shots,
-                       queries_per_class=args.queries, seed=args.seed)
-    report = evaluate(dataset, params, config, spec, args.episodes)
+    report = evaluate(dataset, params, config, _episode_spec(args, args.seed),
+                      args.episodes)
     print(f"accuracy {report.accuracy:.4f} +/- {report.ci95_halfwidth:.4f} "
           f"over {report.episodes} episodes")
     for label, acc in report.per_class_accuracy:
@@ -205,12 +209,8 @@ def cmd_eval(args) -> int:
     if args.out:
         outdir = Path(args.out)
         _write_run_manifest(outdir, "eval", args, {"report": "report.json"})
-        write_atomic(outdir / "report.json", (json.dumps({
-            "accuracy": report.accuracy,
-            "ci95_halfwidth": report.ci95_halfwidth,
-            "episodes": report.episodes,
-            "per_class_accuracy": report.per_class_accuracy,
-        }, indent=2) + "\n").encode("utf-8"))
+        write_atomic(outdir / "report.json", (json.dumps(
+            dataclasses.asdict(report), indent=2) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -279,21 +279,8 @@ def cmd_tuples(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    dataset = _load_filtered(args.data, args.labels)
-    eval_dataset = (_load_filtered(args.eval_data or args.data, args.eval_labels)
-                    if args.eval_data or args.eval_labels else dataset)
-    config = _model_config_from_args(args, dataset)
-    train_config = TrainConfig(
-        episodes=args.episodes,
-        learning_rate=args.lr,
-        accumulate_every=args.accumulate_every,
-        eval_every=max(args.episodes, 1),
-        eval_episodes=1,
-    )
-    spec = EpisodeSpec(ways=args.ways, shots=args.shots,
-                       queries_per_class=args.queries, seed=args.seed)
-    eval_spec = EpisodeSpec(ways=args.ways, shots=args.shots,
-                            queries_per_class=args.queries, seed=args.eval_seed)
+    dataset, eval_dataset, config, train_config, spec = _train_inputs(
+        args, max(args.episodes, 1), 1)
     outdir = Path(args.out)
     _write_run_manifest(outdir, "ablate", args, {"table": "ablation.tsv"})
 
@@ -302,7 +289,8 @@ def cmd_ablate(args) -> int:
               f"+/- {report.ci95_halfwidth:.4f}")
 
     results = run_ablation(dataset, eval_dataset, config, train_config, spec,
-                           eval_spec, args.eval_episodes, progress=progress)
+                           _episode_spec(args, args.eval_seed), args.eval_episodes,
+                           progress=progress)
     lines = "".join(f"{name}\t{report.accuracy:.17g}\t"
                     f"{report.ci95_halfwidth:.17g}\n"
                     for name, report, _ in results)
@@ -313,6 +301,11 @@ def cmd_ablate(args) -> int:
 
 
 # -- attention export --------------------------------------------------------------
+
+
+def _write_csv(path: Path, rows: np.ndarray) -> None:
+    text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows)
+    write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 def _write_pgm(path: Path, grid: np.ndarray) -> None:
@@ -339,14 +332,12 @@ def cmd_attn_export(args) -> int:
         "scores_csv": "scores_*.csv"})
     all_scores, all_norms = ple_patch_diagnostics(clip.payload, params.ple)
     for i, scores in enumerate(all_scores):
-        score_text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in scores)
-        write_atomic(outdir / f"scores_{i:02d}.csv", (score_text + "\n").encode("utf-8"))
+        _write_csv(outdir / f"scores_{i:02d}.csv", scores)
     lo = float(all_norms.min())
     hi = float(all_norms.max())
     for i, norms in enumerate(all_norms):
         grid = norms.reshape(side, side)
-        csv_text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in grid)
-        write_atomic(outdir / f"frame_{i:02d}.csv", (csv_text + "\n").encode("utf-8"))
+        _write_csv(outdir / f"frame_{i:02d}.csv", grid)
         if hi - lo > 0.0:
             scaled = np.rint((grid - lo) / (hi - lo) * 255.0)
         else:
@@ -379,15 +370,34 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="seed for the tuple subsampling order")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--episodes", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--accumulate-every", type=int, default=1,
-                   help="episodes per optimizer step (gradients are averaged)")
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True)
+    p.add_argument("--labels", default=None, help="restrict classes, e.g. 0-9")
+
+
+def _add_episode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ways", type=int, default=5)
     p.add_argument("--shots", type=int, default=5)
     p.add_argument("--queries", type=int, default=1,
                    help="queries per sampled class per episode")
+
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """Everything train and ablate share: data and eval split, output
+    directory, seed, model, optimizer and episode layout."""
+    _add_data_flags(p)
+    p.add_argument("--eval-data", default=None,
+                   help="dataset to evaluate on (default: --data)")
+    p.add_argument("--eval-labels", default=None,
+                   help="restrict eval classes, e.g. 10-14")
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    _add_model_flags(p)
+    p.add_argument("--episodes", type=int, default=2000)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--accumulate-every", type=int, default=1,
+                   help="episodes per optimizer step (gradients are averaged)")
+    _add_episode_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,31 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="episodic training on a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--labels", default=None,
-                   help="restrict training classes, e.g. 0-9")
-    p.add_argument("--eval-data", default=None,
-                   help="dataset for the periodic accuracy trace (default: --data)")
-    p.add_argument("--eval-labels", default=None,
-                   help="restrict trace-eval classes, e.g. 10-14")
+    _add_train_flags(p)
     p.add_argument("--eval-every", type=int, default=250)
     p.add_argument("--eval-episodes", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    _add_model_flags(p)
-    _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", default=None,
-                   help="restrict eval classes, e.g. 10-14")
+    _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--ways", type=int, default=5)
-    p.add_argument("--shots", type=int, default=5)
-    p.add_argument("--queries", type=int, default=1)
+    _add_episode_flags(p)
     p.add_argument("--keep-ratio", type=float, default=1.0,
                    help="must match the value used at training time")
     p.add_argument("--tuple-seed", type=int, default=0,
@@ -468,18 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tuples)
 
     p = sub.add_parser("ablate", help="train and score every toggle variant")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--labels", default=None,
-                   help="restrict training classes, e.g. 0-9")
-    p.add_argument("--eval-data", default=None)
-    p.add_argument("--eval-labels", default=None,
-                   help="restrict eval classes, e.g. 10-14")
+    _add_train_flags(p)
     p.add_argument("--eval-episodes", type=int, default=1000)
     p.add_argument("--eval-seed", type=int, default=777)
-    p.add_argument("--seed", type=int, default=0)
-    _add_model_flags(p)
-    _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("attn-export",

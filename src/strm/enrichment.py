@@ -110,48 +110,55 @@ def ple_folds(tape: Tape, params: PLEParams) -> tuple[Tensor, Tensor]:
             tape.matmul(params.value_proj.value, params.refine1.value))
 
 
+def _ple_scores(tape: Tape, frames: Tensor, key_fold: Tensor) -> Tensor:
+    """Pre-softmax attention scores [n x patches x patches] of [n x patches x
+    channels] frames. Scores (x Wq)(x Wk)^T / sqrt(D) are x (x M)^T with the
+    query-key fold M, which replaces the query projection of every patch row.
+    """
+    n, n_patches, channels = frames.shape
+    flat = tape.reshape(frames, (n * n_patches, channels))
+    return tape.bmm(frames, tape.transpose(
+        tape.reshape(tape.matmul(flat, key_fold), frames.shape)))
+
+
 def _ple_core(tape: Tape, frames: Tensor, params: PLEParams,
-              folds: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor, Tensor]:
+              folds: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
     """Shared body of patch enrichment over [n x patches x channels] frames,
     given ple_folds(params).
 
-    Returns the pre-softmax attention scores and their softmax A [n x patches
-    x patches], and the refiner's second hidden layer [n * patches x hidden];
-    the attended rows a = A x Wv + x and the linear last refiner layer are
-    left to the caller. Scores (x Wq)(x Wk)^T / sqrt(D) are x (x M)^T with
-    the query-key fold M, which replaces the query projection of every patch
-    row. The value-refine fold puts the value projection into the first
-    refiner layer, a R1 = A (x (Wv R1)) + x R1, so the [n * patches x
-    channels] values and attended rows are never formed: one N x D x hidden
-    product replaces x Wv (N x D x D) and a R1 (N x D x hidden).
+    Returns the attention A [n x patches x patches], the softmax of
+    _ple_scores, and the refiner's second hidden layer [n * patches x
+    hidden]; the attended rows a = A x Wv + x and the linear last refiner
+    layer are left to the caller. The value-refine fold puts the value
+    projection into the first refiner layer, a R1 = A (x (Wv R1)) + x R1, so
+    the [n * patches x channels] values and attended rows are never formed:
+    one N x D x hidden product replaces x Wv (N x D x D) and a R1 (N x D x
+    hidden).
     """
     n, n_patches, channels = frames.shape
     key_fold, value_refine = folds
     flat = tape.reshape(frames, (n * n_patches, channels))
-    # Keys, their transposed view and the value-refine rows are used inline,
-    # so that on a forward-only tape each block is freed as soon as its
-    # product exists.
-    scores = tape.bmm(frames, tape.transpose(
-        tape.reshape(tape.matmul(flat, key_fold), frames.shape)))
-    probs = tape.softmax_last(scores)
+    # Scores, keys, their transposed view and the value-refine rows are used
+    # inline, so that on a forward-only tape each block is freed as soon as
+    # its product exists.
+    probs = tape.softmax_last(_ple_scores(tape, frames, key_fold))
     hidden_width = value_refine.shape[1]
     hidden = tape.relu(tape.add(
         tape.reshape(tape.bmm(probs, tape.reshape(tape.matmul(flat, value_refine),
                                                   (n, n_patches, hidden_width))),
                      (n * n_patches, hidden_width)),
         tape.matmul(flat, params.refine1.value)))
-    return scores, probs, tape.relu(tape.matmul(hidden, params.refine2.value))
+    return probs, tape.relu(tape.matmul(hidden, params.refine2.value))
 
 
-def _ple_patches(tape: Tape, frames: Tensor, params: PLEParams) -> tuple[Tensor, Tensor]:
-    """Patch-enriched rows of [n x patches x channels] frames, in that shape,
-    and the frames' attention scores [n x patches x patches]."""
-    scores, probs, hidden = _ple_core(tape, frames, params, ple_folds(tape, params))
+def _ple_patches(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
+    """Patch-enriched rows of [n x patches x channels] frames, in that shape."""
+    probs, hidden = _ple_core(tape, frames, params, ple_folds(tape, params))
     flat = tape.reshape(frames, (hidden.shape[0], params.channels))
     values = tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)
     attended = tape.add(tape.reshape(tape.bmm(probs, values), flat.shape), flat)
-    return (tape.reshape(tape.add(tape.matmul(hidden, params.refine3.value), attended),
-                         frames.shape), scores)
+    return tape.reshape(tape.add(tape.matmul(hidden, params.refine3.value), attended),
+                        frames.shape)
 
 
 def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
@@ -167,7 +174,7 @@ def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
             f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
         )
     frame = tape.reshape(patches, (1,) + patches.shape)
-    return tape.reshape(_ple_patches(tape, frame, params)[0], patches.shape)
+    return tape.reshape(_ple_patches(tape, frame, params), patches.shape)
 
 
 def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams,
@@ -187,7 +194,7 @@ def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams,
             f"ple_forward_batch needs [n x patches x {params.channels}], "
             f"got {frames.shape}")
     n, n_patches, channels = frames.shape
-    _, probs, hidden = _ple_core(tape, frames, params, folds)
+    probs, hidden = _ple_core(tape, frames, params, folds)
     pooled_hidden = tape.mean(tape.reshape(hidden, (n, n_patches, hidden.shape[1])), axis=1)
     context = tape.reshape(
         tape.bmm(tape.reshape(tape.mean(probs, axis=1), (n, 1, n_patches)), frames),
@@ -251,5 +258,7 @@ def ple_patch_diagnostics(clip: np.ndarray, params: PLEParams | None):
     if params is None:
         n, n_patches, _ = x.shape
         return np.zeros((n, n_patches, n_patches)), np.sqrt((x.data * x.data).sum(axis=2))
-    enriched, scores = _ple_patches(Tape(grad=False), x, params)
+    tape = Tape(grad=False)
+    enriched = _ple_patches(tape, x, params)
+    scores = _ple_scores(tape, x, ple_folds(tape, params)[0])
     return scores.data, np.sqrt((enriched.data * enriched.data).sum(axis=2))

@@ -300,20 +300,16 @@ def _trm_distances(
     # keys transposed for the attention product: [classes x embed_dim x clips * tuples]
     keys_t = {w: tape.transpose(per_class(k)) for w, k in keys.items()}
     values = {w: per_class(v) for w, v in values.items()}
+    query = _embed_rows(tape, rows, frames, tuple_sets, trm_params)
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
-        params = trm_params[omega]
-        embed_dim = keys_t[omega].shape[1]
-        q_keys = tape.scale(
-            _rows(tape, project_tuples(tape, rows, frames, params.key_proj.value, tuples)),
-            1.0 / math.sqrt(embed_dim),
-        )
-        q_vals = _rows(tape, project_tuples(tape, rows, frames,
-                                            params.value_proj.value, tuples))
-        # each class block: every query tuple attends over that class's tuples
-        scores = tape.bmm(tape.stack([q_keys] * classes), keys_t[omega])
-        prototypes = tape.bmm(tape.softmax_last(scores), values[omega])
-        diffs = tape.sub(tape.stack([q_vals] * classes), prototypes)
+        q_keys = tape.scale(query.keys[omega], 1.0 / math.sqrt(keys_t[omega].shape[1]))
+        # each class block: every query tuple attends over that class's tuples;
+        # the scores are used inline, so a forward-only tape frees them
+        # before the prototype product
+        probs = tape.softmax_last(tape.bmm(tape.stack([q_keys] * classes), keys_t[omega]))
+        prototypes = tape.bmm(probs, values[omega])
+        diffs = tape.sub(tape.stack([query.values[omega]] * classes), prototypes)
         norms = tape.rows_l2norm(_rows(tape, diffs))
         dist = tape.mean(tape.reshape(norms, (classes, queries, len(tuples))), axis=2)
         total = dist if total is None else tape.add(total, dist)
@@ -407,11 +403,10 @@ def _qc_similarities(
     block, queries, frames = _query_block(tape, query_frames)
     _check_block(support, classes, frames)
     codes = _encode_rows(tape, support, frames, tuple_sets, qc_params)
+    q_codes = _encode_rows(tape, block, frames, tuple_sets, qc_params)
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
-        q_codes = _rows(tape, tape.relu(project_tuples(
-            tape, block, frames, qc_params[omega].class_proj.value, tuples)))
-        sims = tape.cosine_matrix(q_codes, codes[omega])
+        sims = tape.cosine_matrix(q_codes[omega], codes[omega])
         # best match of each query tuple within each class's support tuples
         best = tape.max_rows(tape.reshape(
             sims, (queries * len(tuples) * classes, sims.shape[1] // classes)))

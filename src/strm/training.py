@@ -88,6 +88,8 @@ def sgd_step(params: Iterable[Param], learning_rate: float,
 def _report(flags: Sequence[tuple[int, int]], episodes: int) -> EvalReport:
     """Accuracy, its 95% half-width 1.96 * sqrt(p * (1 - p) / n) and the
     per-class accuracy of n scored queries, from one (label, hit) pair each."""
+    if episodes < 1:
+        raise ValueError(f"need at least 1 eval episode, got {episodes}")
     per_class: dict[int, list[int]] = {}
     for label, hit in flags:
         per_class.setdefault(label, []).append(hit)
@@ -351,6 +353,8 @@ def run_ablation(
 ) -> list[tuple[str, EvalReport, ModelParams]]:
     """Train every toggle variant with identical seeds and budget, then
     evaluate each on the same episode stream."""
+    if eval_episodes < 1:
+        raise ValueError(f"need at least 1 eval episode, got {eval_episodes}")
     results = []
     for name, use_ple, use_fle, use_qc in ABLATION_VARIANTS:
         variant = replace(config, use_ple=use_ple, use_fle=use_fle, use_qc=use_qc)

@@ -326,7 +326,7 @@ def test_eval_reports_accuracy(tiny_data, tiny_checkpoint, capsys, tmp_path):
     assert report["episodes"] == 10
 
 
-def test_eval_extent_mismatch_rejected(tmp_path, tiny_data):
+def test_eval_extent_mismatch_rejected(tmp_path, tiny_data, capsys):
     cfg = ModelConfig(frames=4, patches=4, channels=16, refine_hidden=4,
                       embed_dim=6, code_dim=4, seed=0)
     bad = tmp_path / "bad.stck"
@@ -334,6 +334,51 @@ def test_eval_extent_mismatch_rejected(tmp_path, tiny_data):
     code = run(["eval", "--data", str(tiny_data), "--checkpoint", str(bad),
                 "--episodes", "4", "--ways", "2", "--shots", "1"])
     assert code == EXIT_USAGE
+    assert "ple.query_proj: extent mismatch" in capsys.readouterr().err
+
+
+def test_eval_zero_episodes_exits_2_naming_the_count(tiny_data, tiny_checkpoint, capsys):
+    assert run(["eval", "--data", str(tiny_data), "--checkpoint", str(tiny_checkpoint),
+                "--episodes", "0", "--ways", "2", "--shots", "1"]) == EXIT_USAGE
+    assert "got 0" in capsys.readouterr().err
+
+
+def test_ablate_zero_eval_episodes_exits_2_before_training(tmp_path, tiny_data, capsys):
+    out = tmp_path / "ab"
+    assert run(["ablate", "--data", str(tiny_data), "--out", str(out),
+                "--episodes", "2", "--eval-episodes", "0", "--ways", "2",
+                "--shots", "1"]) == EXIT_USAGE
+    assert "got 0" in capsys.readouterr().err
+    assert not list(out.glob("checkpoint_*.stck"))
+
+
+@pytest.mark.parametrize("flag,value", [("--labels", "a"), ("--eval-labels", "9-"),
+                                        ("--labels", "1-2-3"), ("--eval-labels", ",")])
+def test_label_errors_name_the_flag(tmp_path, tiny_data, capsys, flag, value):
+    assert run(["train", "--data", str(tiny_data), "--out", str(tmp_path / "t"),
+                flag, value]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"strm: bad {flag} value {value!r}, expected e.g. 0-9 or 3,5,7\n"
+
+
+def test_train_eval_labels_filter_the_eval_split(tmp_path, tiny_data, monkeypatch):
+    """--eval-labels alone restricts --data for the accuracy trace."""
+    seen = {}
+    real_train = cli.train
+
+    def spy(dataset, *args, eval_dataset=None, **kwargs):
+        seen["train"], seen["eval"] = dataset.labels, eval_dataset.labels
+        return real_train(dataset, *args, eval_dataset=eval_dataset, **kwargs)
+
+    monkeypatch.setattr(cli, "train", spy)
+    out = tmp_path / "t"
+    assert run(["train", "--data", str(tiny_data), "--out", str(out),
+                "--labels", "0-1", "--eval-labels", "2-3", "--episodes", "4",
+                "--eval-every", "4", "--eval-episodes", "2", "--ways", "2",
+                "--shots", "1", "--refine-hidden", "4", "--embed-dim", "6",
+                "--code-dim", "4"]) == EXIT_OK
+    assert seen == {"train": [0, 1], "eval": [2, 3]}
+    assert len((out / "metrics.tsv").read_text().splitlines()) == 1
 
 
 @pytest.mark.parametrize("frames,patches", [(1, 4), (4, 3)])

@@ -287,6 +287,23 @@ def test_evaluate_report_fields():
     assert rep.episodes == 20
 
 
+def test_zero_eval_episodes_rejected_naming_the_count(monkeypatch):
+    ds = tiny_dataset()
+    cfg = ModelConfig(seed=0, **TINY)
+    spec = EpisodeSpec(ways=2, shots=1, seed=0)
+    with pytest.raises(ValueError, match="got 0"):
+        evaluate(ds, build_params(cfg), cfg, spec, 0)
+    with pytest.raises(ValueError, match="got -1"):
+        mean_pool_baseline(ds, spec, -1)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("run_ablation trained before checking eval_episodes")
+
+    monkeypatch.setattr(training, "train", no_training)
+    with pytest.raises(ValueError, match="got 0"):
+        training.run_ablation(ds, ds, cfg, TrainConfig(episodes=1), spec, spec, 0)
+
+
 def per_query_accuracy(ds, params, cfg, spec, n_episodes):
     """Accuracy and per-class accuracy with every query scored on its own by
     trm_logits against per-class support embeddings."""
@@ -431,10 +448,10 @@ def test_evaluate_peak_memory_within_a_few_episode_blocks():
     tracemalloc, at no more than 3.1 times the bytes of its widened clip
     block (30 clips x 8 frames x 16 patches x 64 channels in float64, one
     enrichment group): the widest moment is PLE's first refiner layer, where
-    the block, the attention scores and weights (a quarter block each here)
-    and three [rows x hidden] terms (half a block each) are alive. PLE's keys
-    die as soon as the scores exist, their transpose is a view, and PLE forms
-    no value or attended rows."""
+    the block, the attention weights (a quarter block here) and three [rows x
+    hidden] terms (half a block each) are alive. PLE's keys die as soon as
+    the scores exist, the scores as soon as their softmax exists, the keys'
+    transpose is a view, and PLE forms no value or attended rows."""
     ds = generate_synthetic(SyntheticSpec(num_classes=5, clips_per_class=6, frames=8,
                                           patches=16, channels=64, seed=0))
     cfg = ModelConfig(patches=16, channels=64, refine_hidden=32, embed_dim=32,
@@ -456,8 +473,8 @@ def test_evaluate_peak_memory_flat_in_episode_ways():
     """At P^2=64, D=64 a clip widens to 256 KiB, so an episode is enriched in
     groups of 8 clips. Going from 5-way to 10-way (30 to 60 clips) leaves the
     tracemalloc peak of one evaluate episode within 5%: the group's
-    intermediates dominate it, not the clip count (one block per episode
-    would double it)."""
+    intermediates, and at 10-way matching's attention softmax, set it, not
+    the clip count (one block per episode would double it)."""
 
     def peak_bytes(ways: int) -> int:
         ds = generate_synthetic(SyntheticSpec(num_classes=ways, clips_per_class=6,
