@@ -12,6 +12,7 @@ CPU-only. Importing the module sets the process's glibc heap policy once
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from dataclasses import fields
 from typing import Callable, Iterable, Sequence
@@ -70,15 +71,22 @@ class NumericalError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
+# Source of Tensor keys: unique for the life of the process, unlike id(),
+# which a new object may reuse once the old one dies.
+_KEYS = itertools.count()
+
+
 class Tensor:
     """Dense n-dimensional float64 array, immutable once produced by an op.
 
     `needs_grad` says whether a gradient can flow to the tensor: it is set on
     a Param's value and on the output of every op a tape records, and is
     false for everything else (clips, constants, forward-only outputs).
+    `key` names the tensor's adjoint on a tape; every tensor, copies made by
+    copy, deepcopy or pickle included, gets its own.
     """
 
-    __slots__ = ("data", "needs_grad")
+    __slots__ = ("data", "needs_grad", "key")
 
     def __init__(self, data) -> None:
         arr = np.asarray(data, dtype=np.float64)
@@ -86,6 +94,14 @@ class Tensor:
             raise ShapeError(f"tensor extents must be positive, got {arr.shape}")
         self.data = arr
         self.needs_grad = False
+        self.key = next(_KEYS)
+
+    def __getstate__(self):
+        return self.data, self.needs_grad
+
+    def __setstate__(self, state) -> None:
+        self.data, self.needs_grad = state
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -137,8 +153,7 @@ def zero_grads(params: Iterable[Param]) -> None:
         p.zero_grad()
 
 
-def _accum(adj: dict[int, np.ndarray], t: Tensor, g: np.ndarray) -> None:
-    key = id(t)
+def _accum(adj: dict[int, np.ndarray], key: int, g: np.ndarray) -> None:
     prior = adj.get(key)
     adj[key] = g if prior is None else prior + g
 
@@ -157,6 +172,15 @@ class Tape:
     no adjoint and no intermediate alive. len(tape) counts the ops run,
     recorded or not.
 
+    A recorded node is its output's key and an adjoint closure, and the
+    closure keeps its inputs' keys, needs-grad bits and shapes and only the
+    arrays its formula reads: a product the other operand (when this side
+    needs grad), softmax and ReLU their own output, rows_l2norm its input,
+    cosine_matrix its unit rows. An intermediate that no adjoint reads, such
+    as the scores ahead of a softmax or the sum ahead of a ReLU, is freed as
+    soon as the forward pass drops it. backward releases each node as it
+    runs it, so a tape can be differentiated once.
+
     A tape has a single writer; tensors it produces are never mutated.
     Distinct tapes are independent and may run concurrently over shared
     read-only parameters.
@@ -165,7 +189,8 @@ class Tape:
     def __init__(self, grad: bool = True) -> None:
         self._grad = bool(grad)
         self._ops = 0
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray, dict], None]]] = []
+        self._spent = False
+        self._nodes: list[tuple[int, Callable[[np.ndarray, dict], None]]] = []
 
     def __len__(self) -> int:
         return self._ops
@@ -175,27 +200,35 @@ class Tape:
         self._ops += 1
         if self._grad and any(t.needs_grad for t in inputs):
             out.needs_grad = True
-            self._nodes.append((out, backward))
+            self._nodes.append((out.key, backward))
         return out
 
     def backward(self, loss: Tensor, params: Iterable[Param]) -> None:
         """Accumulate d(loss)/d(param) into each param's grad buffer.
 
         Gradients add across calls; callers zero them explicitly. Adjoints
-        toward inputs that need no grad are never formed.
+        toward inputs that need no grad are never formed. The pass pops each
+        node as it runs it, so memory falls as it goes and a second call on
+        the same tape raises RuntimeError.
         """
         if not self._grad:
             raise RuntimeError("backward called on a forward-only tape "
                                "(Tape(grad=False) records no adjoints)")
+        if self._spent:
+            raise RuntimeError("backward called on a tape that was already "
+                               "differentiated (its nodes are released)")
         if loss.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        adj: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for out, backward in reversed(self._nodes):
-            g = adj.pop(id(out), None)
+        self._spent = True
+        adj: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=np.float64)}
+        nodes = self._nodes
+        while nodes:
+            key, backward = nodes.pop()
+            g = adj.pop(key, None)
             if g is not None:
                 backward(g, adj)
         for p in params:
-            g = adj.get(id(p.value))
+            g = adj.get(p.value.key)
             if g is not None:
                 p.grad += g
 
@@ -205,12 +238,15 @@ class Tape:
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul needs [m x k] by [k x n], got {a.shape} and {b.shape}")
         out = Tensor(a.data @ b.data)
+        ka, kb = a.key, b.key
+        bd = b.data if a.needs_grad else None
+        ad = a.data if b.needs_grad else None
 
         def backward(g, adj):
-            if a.needs_grad:
-                _accum(adj, a, g @ b.data.T)
-            if b.needs_grad:
-                _accum(adj, b, a.data.T @ g)
+            if bd is not None:
+                _accum(adj, ka, g @ bd.T)
+            if ad is not None:
+                _accum(adj, kb, ad.T @ g)
 
         return self._record(out, backward, a, b)
 
@@ -218,12 +254,13 @@ class Tape:
         if a.shape != b.shape:
             raise ShapeError(f"add needs matching shapes, got {a.shape} and {b.shape}")
         out = Tensor(a.data + b.data)
+        ka, kb, grad_a, grad_b = a.key, b.key, a.needs_grad, b.needs_grad
 
         def backward(g, adj):
-            if a.needs_grad:
-                _accum(adj, a, g)
-            if b.needs_grad:
-                _accum(adj, b, g)
+            if grad_a:
+                _accum(adj, ka, g)
+            if grad_b:
+                _accum(adj, kb, g)
 
         return self._record(out, backward, a, b)
 
@@ -231,21 +268,23 @@ class Tape:
         if a.shape != b.shape:
             raise ShapeError(f"sub needs matching shapes, got {a.shape} and {b.shape}")
         out = Tensor(a.data - b.data)
+        ka, kb, grad_a, grad_b = a.key, b.key, a.needs_grad, b.needs_grad
 
         def backward(g, adj):
-            if a.needs_grad:
-                _accum(adj, a, g)
-            if b.needs_grad:
-                _accum(adj, b, -g)
+            if grad_a:
+                _accum(adj, ka, g)
+            if grad_b:
+                _accum(adj, kb, -g)
 
         return self._record(out, backward, a, b)
 
     def scale(self, x: Tensor, s: float) -> Tensor:
         s = float(s)
         out = Tensor(x.data * s)
+        kx = x.key
 
         def backward(g, adj):
-            _accum(adj, x, g * s)
+            _accum(adj, kx, g * s)
 
         return self._record(out, backward, x)
 
@@ -257,9 +296,10 @@ class Tape:
         if x.ndim < 2:
             raise ShapeError(f"transpose needs rank >= 2, got {x.shape}")
         out = Tensor(np.swapaxes(x.data, -1, -2))
+        kx = x.key
 
         def backward(g, adj):
-            _accum(adj, x, np.swapaxes(g, -1, -2))
+            _accum(adj, kx, np.swapaxes(g, -1, -2))
 
         return self._record(out, backward, x)
 
@@ -270,12 +310,15 @@ class Tape:
             raise ShapeError(f"bmm needs [B x m x k] by [B x k x n], "
                              f"got {a.shape} and {b.shape}")
         out = Tensor(a.data @ b.data)
+        ka, kb = a.key, b.key
+        bd = b.data if a.needs_grad else None
+        ad = a.data if b.needs_grad else None
 
         def backward(g, adj):
-            if a.needs_grad:
-                _accum(adj, a, g @ np.swapaxes(b.data, -1, -2))
-            if b.needs_grad:
-                _accum(adj, b, np.swapaxes(a.data, -1, -2) @ g)
+            if bd is not None:
+                _accum(adj, ka, g @ np.swapaxes(bd, -1, -2))
+            if ad is not None:
+                _accum(adj, kb, np.swapaxes(ad, -1, -2) @ g)
 
         return self._record(out, backward, a, b)
 
@@ -284,9 +327,10 @@ class Tape:
         if math.prod(shape) != x.size:
             raise ShapeError(f"cannot reshape {x.shape} to {shape}")
         out = Tensor(x.data.reshape(shape))
+        kx, x_shape = x.key, x.shape
 
         def backward(g, adj):
-            _accum(adj, x, g.reshape(x.shape))
+            _accum(adj, kx, g.reshape(x_shape))
 
         return self._record(out, backward, x)
 
@@ -294,15 +338,15 @@ class Tape:
         if not parts:
             raise ShapeError("concat needs at least one part")
         out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+        spans = [(p.key, p.needs_grad, p.shape[axis]) for p in parts]
 
         def backward(g, adj):
             offset = 0
-            for p in parts:
-                extent = p.shape[axis]
+            for key, grad, extent in spans:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offset, offset + extent)
-                if p.needs_grad:
-                    _accum(adj, p, g[tuple(sl)])
+                if grad:
+                    _accum(adj, key, g[tuple(sl)])
                 offset += extent
 
         return self._record(out, backward, *parts)
@@ -315,11 +359,12 @@ class Tape:
             if p.shape != shape:
                 raise ShapeError(f"stack needs equal shapes, got {shape} and {p.shape}")
         out = Tensor(np.stack([p.data for p in parts], axis=0))
+        inputs = [(p.key, p.needs_grad) for p in parts]
 
         def backward(g, adj):
-            for i, p in enumerate(parts):
-                if p.needs_grad:
-                    _accum(adj, p, g[i])
+            for i, (key, grad) in enumerate(inputs):
+                if grad:
+                    _accum(adj, key, g[i])
 
         return self._record(out, backward, *parts)
 
@@ -330,11 +375,12 @@ class Tape:
             raise IndexError(f"row span [{start}, {stop}) empty or out of range "
                              f"for {x.shape[0]} rows")
         out = Tensor(x.data[start:stop])
+        kx, x_shape = x.key, x.shape
 
         def backward(g, adj):
-            d = np.zeros(x.shape, dtype=np.float64)
+            d = np.zeros(x_shape, dtype=np.float64)
             d[start:stop] = g
-            _accum(adj, x, d)
+            _accum(adj, kx, d)
 
         return self._record(out, backward, x)
 
@@ -355,10 +401,11 @@ class Tape:
         for j in range(1, mix.shape[0]):
             total += np.matmul(mix[j], x.data[j])
         out = Tensor(total)
+        kx = x.key
         per_lead = (slice(None),) + (None,) * (x.ndim - 3)
 
         def backward(g, adj):
-            _accum(adj, x, np.matmul(np.swapaxes(mix, 1, 2)[per_lead], g))
+            _accum(adj, kx, np.matmul(np.swapaxes(mix, 1, 2)[per_lead], g))
 
         return self._record(out, backward, x)
 
@@ -369,18 +416,21 @@ class Tape:
             raise ShapeError(f"mean axis {axis} invalid for shape {x.shape}")
         n = x.shape[axis]
         out = Tensor(x.data.mean(axis=axis))
+        kx, x_shape = x.key, x.shape
 
         def backward(g, adj):
-            _accum(adj, x, np.broadcast_to(np.expand_dims(g, axis), x.shape) / n)
+            _accum(adj, kx, np.broadcast_to(np.expand_dims(g, axis), x_shape) / n)
 
         return self._record(out, backward, x)
 
     def relu(self, x: Tensor) -> Tensor:
         # One pass; -0.0 maps to +0.0, as in x > 0 ? x : 0 (NaN stays NaN).
-        out = Tensor(np.maximum(x.data, 0.0))
+        y = np.maximum(x.data, 0.0)
+        out = Tensor(y)
+        kx = x.key
 
         def backward(g, adj):
-            _accum(adj, x, g * (out.data > 0.0))  # subgradient at exactly 0 is 0
+            _accum(adj, kx, g * (y > 0.0))  # subgradient at exactly 0 is 0
 
         return self._record(out, backward, x)
 
@@ -392,12 +442,13 @@ class Tape:
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
         out = Tensor(s)
+        kx = x.key
 
         def backward(g, adj):
             d = g * s
             np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
             d *= s
-            _accum(adj, x, d)
+            _accum(adj, kx, d)
 
         return self._record(out, backward, x)
 
@@ -432,12 +483,13 @@ class Tape:
         # of inputs, which would change the loss bits.
         logs = np.fromiter(map(math.log, clamped), np.float64, len(clamped))
         out = Tensor(np.reshape(-logs, probs.shape[:-1]))
+        kp, probs_shape, rows_shape = probs.key, probs.shape, rows.shape
 
         def backward(g, adj):
-            d = np.zeros(rows.shape, dtype=np.float64)
+            d = np.zeros(rows_shape, dtype=np.float64)
             # below the clamp the loss is locally constant
             d[at] = np.where(picked >= 1e-12, -np.reshape(g, -1) / clamped, 0.0)
-            _accum(adj, probs, d.reshape(probs.shape))
+            _accum(adj, kp, d.reshape(probs_shape))
 
         return self._record(out, backward, probs)
 
@@ -446,10 +498,11 @@ class Tape:
         _need_rank(x, 2, "rows_l2norm")
         norms = np.sqrt((x.data * x.data).sum(axis=1))
         out = Tensor(norms)
+        kx, xd = x.key, x.data
 
         def backward(g, adj):
             safe = np.where(norms > 0.0, norms, 1.0)
-            _accum(adj, x, x.data * (g / safe)[:, None])
+            _accum(adj, kx, xd * (g / safe)[:, None])
 
         return self._record(out, backward, x)
 
@@ -472,15 +525,16 @@ class Tape:
         ua = a.data * inv_a
         ub = b.data * inv_b
         out = Tensor(ua @ ub.T)
+        ka, kb, grad_a, grad_b = a.key, b.key, a.needs_grad, b.needs_grad
 
         def backward(g, adj):
             # d(x / |x|) = (dx - u (u . dx)) / |x|
-            if a.needs_grad:
+            if grad_a:
                 dua = g @ ub
-                _accum(adj, a, (dua - ua * (ua * dua).sum(axis=1, keepdims=True)) * inv_a)
-            if b.needs_grad:
+                _accum(adj, ka, (dua - ua * (ua * dua).sum(axis=1, keepdims=True)) * inv_a)
+            if grad_b:
                 dub = g.T @ ua
-                _accum(adj, b, (dub - ub * (ub * dub).sum(axis=1, keepdims=True)) * inv_b)
+                _accum(adj, kb, (dub - ub * (ub * dub).sum(axis=1, keepdims=True)) * inv_b)
 
         return self._record(out, backward, a, b)
 
@@ -490,11 +544,12 @@ class Tape:
         idx = np.argmax(x.data, axis=1)
         rows = np.arange(x.shape[0])
         out = Tensor(x.data[rows, idx])
+        kx, x_shape = x.key, x.shape
 
         def backward(g, adj):
-            d = np.zeros(x.shape, dtype=np.float64)
+            d = np.zeros(x_shape, dtype=np.float64)
             d[rows, idx] = g
-            _accum(adj, x, d)
+            _accum(adj, kx, d)
 
         return self._record(out, backward, x)
 

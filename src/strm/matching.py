@@ -162,8 +162,10 @@ def project_tuples(
     channels = frames.shape[1]
     width = weight.shape[1]
     clips = frames.shape[0] // clip_frames
-    # Stacking the (small) frames keeps W in place: a relaid-out copy of W
-    # per call would stay alive on the tape until backward.
+    # Stacking the (small) frames keeps W in place. On a recording tape the
+    # product's node keeps the stacked frames for W's adjoint and a view of W
+    # for the frames' adjoint; a relaid-out copy of W per call would instead
+    # stay alive until backward.
     per_position = tape.bmm(tape.stack([frames] * omega),
                             tape.reshape(weight, (omega, channels, width)))
     return tape.combine_rows(

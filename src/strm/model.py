@@ -284,13 +284,17 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
     pooled frames (None unless use_qc and the similarity head is on).
 
     The whole episode is enriched as one block; one row slice per block takes
-    out the class-major support rows and one the query rows.
+    out the class-major support rows and one the query rows. Unless the
+    similarity head is scored, the pooled rows are dropped before matching.
     """
     shots = [len(way_clips) for way_clips in episode.support]
     matching.check_class_sizes(shots)
     clips = [rec.features.payload for way_clips in episode.support for rec in way_clips]
     clips += [rec.features.payload for rec, _ in episode.queries]
     pooled, enriched = enrich_block(tape, clips, params, config)
+    score_qc = use_qc and params.qc and config.use_qc
+    if not score_qc:
+        del pooled
     support_rows = sum(shots) * config.frames
     query_shape = (len(episode.queries), config.frames, config.channels)
     tuple_sets = config.tuple_sets()
@@ -303,7 +307,7 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
     support, queries = split(enriched)
     tm = matching.trm_logits(tape, queries, support, tuple_sets, params.trm,
                              classes=len(shots))
-    if not (use_qc and params.qc and config.use_qc):
+    if not score_qc:
         return tm, None
     support, queries = split(pooled)
     return tm, matching.qc_logits(tape, queries, support, tuple_sets, params.qc,

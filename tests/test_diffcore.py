@@ -1,8 +1,10 @@
 """Tensor engine tests: op semantics, adjoints vs the central-difference
 oracle, and determinism."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import zlib
@@ -466,6 +468,51 @@ def test_gradient_accumulation_is_additive():
     backward_once(x1)
     backward_once(x2)
     assert np.array_equal(w.grad, g1 + g2)
+
+
+def test_second_backward_on_one_tape_raises_and_adds_nothing():
+    w = as_param("w", [[1.0, -2.0], [3.0, 0.5]])
+    x = Tensor([[0.5, 1.0], [2.0, -1.0]])
+    tape = Tape()
+    loss = l2_norm(tape, tape.relu(tape.matmul(x, w.value)))
+    tape.backward(loss, [w])
+    once = w.grad.copy()
+    assert tape._nodes == []  # backward releases every node
+    with pytest.raises(RuntimeError, match="already differentiated"):
+        tape.backward(loss, [w])
+    assert np.array_equal(w.grad, once)
+
+
+def test_copied_tensors_get_fresh_keys():
+    t = as_param("t", np.ones((2, 2))).value
+    copies = [copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+    assert len({t.key} | {c.key for c in copies}) == 4
+    assert all(c.needs_grad and np.array_equal(c.data, t.data) for c in copies)
+    assert copies[0].data is t.data and copies[1].data is not t.data
+
+
+def test_deep_copied_param_beside_its_original_gets_its_own_gradient():
+    """A deep copy used on one tape beside its original gets the gradient it
+    gets alone; a shared adjoint key would hand both the sum."""
+    rng = np.random.default_rng(12)
+    w = as_param("w", rng.standard_normal((3, 3)))
+    twin = copy.deepcopy(w)
+    twin.name = "twin"
+    x = Tensor(rng.standard_normal((2, 3)))
+
+    def through_w(tape):
+        return l2_norm(tape, tape.matmul(x, w.value))
+
+    def through_twin(tape):
+        return tape.scale(l2_norm(tape, tape.relu(tape.matmul(x, twin.value))), 3.0)
+
+    alone_w = tape_grads(through_w, [w])["w"]
+    alone_twin = tape_grads(through_twin, [twin])["twin"]
+    both = tape_grads(lambda tape: tape.add(through_w(tape), through_twin(tape)),
+                      [w, twin])
+    assert not np.array_equal(alone_w, alone_twin)
+    assert np.array_equal(both["w"], alone_w)
+    assert np.array_equal(both["twin"], alone_twin)
 
 
 def test_ops_are_deterministic():

@@ -2,16 +2,20 @@
 batched-vs-single enrichment equivalence, and the block-valued episode path
 against the per-clip one."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from strm import matching, model
 from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
 from strm.enrichment import fle_forward, ple_forward
 from strm.episodes import (Episode, EpisodeSpec, SyntheticSpec, generate_synthetic,
                            sample_episode)
 from strm.matching import qc_logits, trm_logits
 from strm.model import (ModelConfig, build_params, enrich_clips, forward_episode,
-                        params_from_arrays, validate_against)
+                        params_from_arrays, score_episode, validate_against)
 
 from test_diffcore import l2_norm
 
@@ -204,3 +208,118 @@ def test_unequal_shots_raise_naming_the_class():
                       episode.queries)
     with pytest.raises(ShapeError, match="class 1 has 1 support clips but class 0 has 2"):
         forward_episode(Tape(), episode, build_params(cfg), cfg)
+
+
+# -- what a recording tape keeps --------------------------------------------------
+
+LEAN_CELL_TYPES = (bool, int, float, np.integer, np.ndarray, slice, type(None))
+
+
+def cell_contents(fn):
+    """Everything an adjoint closure's cells hold, lists and tuples unpacked."""
+    out, todo = [], [cell.cell_contents for cell in fn.__closure__ or ()]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        else:
+            out.append(obj)
+    return out
+
+
+def desk_episode(cfg, seed=21):
+    ds = generate_synthetic(SyntheticSpec(num_classes=6, clips_per_class=7,
+                                          patches=cfg.patches, channels=cfg.channels,
+                                          seed=4))
+    return sample_episode(ds, EpisodeSpec(ways=5, shots=5, seed=seed), 3)
+
+
+def test_recorded_nodes_keep_keys_flags_shapes_and_arrays_only():
+    """No adjoint closure of a whole episode holds a Tensor (or anything but
+    keys, needs-grad bits, shapes, constants and arrays), so no op keeps an
+    intermediate alive that its formula does not read."""
+    cfg = ModelConfig(omegas=(2, 3), use_ple=True, use_fle=True, use_qc=True, seed=2)
+    tape = Tape()
+    forward_episode(tape, desk_episode(cfg), build_params(cfg), cfg)
+    assert len(tape._nodes) > 100
+    for key, adjoint in tape._nodes:
+        assert isinstance(key, int)
+        for obj in cell_contents(adjoint):
+            assert isinstance(obj, LEAN_CELL_TYPES), (adjoint.__qualname__, type(obj))
+
+
+def test_scores_and_similarities_are_freed_on_a_recording_tape(monkeypatch):
+    """PLE's and TRM's attention scores (the rank-3 softmax inputs) and QC's
+    cosine matrices feed ops whose adjoints do not read them, so they are
+    gone once forward returns, while the tape and its result are kept."""
+    refs = []
+    softmax, cosine = Tape.softmax_last, Tape.cosine_matrix
+
+    def logged_softmax(tape, x):
+        if x.ndim == 3:
+            refs.append(("scores", weakref.ref(x.data)))
+        return softmax(tape, x)
+
+    def logged_cosine(tape, a, b):
+        out = cosine(tape, a, b)
+        refs.append(("similarities", weakref.ref(out.data)))
+        return out
+
+    monkeypatch.setattr(Tape, "softmax_last", logged_softmax)
+    monkeypatch.setattr(Tape, "cosine_matrix", logged_cosine)
+    cfg = ModelConfig(omegas=(2, 3), seed=2)
+    tape = Tape()
+    result = forward_episode(tape, desk_episode(cfg), build_params(cfg), cfg)
+    assert result.loss.needs_grad and tape._nodes
+    assert sorted({name for name, _ in refs}) == ["scores", "similarities"]
+    assert len(refs) == 1 + 2 + 2  # one PLE group; TRM and QC per cardinality
+    assert [name for name, ref in refs if ref() is not None] == []
+
+
+def test_live_bytes_after_a_desk_forward_stay_bounded():
+    """tracemalloc's live bytes after forward_episode on a recording tape at
+    the desk config (5-way 5-shot, L=8, P2=4, D=64, omega=2, QC on), with
+    the tape and result kept: 5.85 MB measured, the arrays the adjoints read,
+    the largest being TRM's [5 x 140 x 140] attention weights and the
+    widened clip block. The bound is that plus 20%; a tape that keeps every
+    recorded output and every op input (12.5 MB here) fails it."""
+    cfg = ModelConfig(seed=2)
+    episode, params = desk_episode(cfg), build_params(cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        result = forward_episode(tape, episode, params, cfg)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.loss.needs_grad and tape._nodes
+    assert live <= 1.2 * 5.85e6, live / 1e6
+
+
+@pytest.mark.parametrize("use_fle", [True, False])
+def test_unscored_pooled_rows_are_dropped_before_matching(monkeypatch, use_fle):
+    """Without the similarity head, score_episode lets the pooled rows go
+    before tuple matching (with frame enrichment on they are a block of their
+    own; with it off they are the enriched rows, which matching needs)."""
+    cfg = ModelConfig(use_fle=use_fle, seed=2)
+    episode, params = desk_episode(cfg), build_params(cfg)
+    pooled_refs, alive_in_matching = [], []
+    enrich, trm = model.enrich_block, matching.trm_logits
+
+    def logged_enrich(*args):
+        pooled, enriched = enrich(*args)
+        pooled_refs.append(weakref.ref(pooled.data))
+        return pooled, enriched
+
+    def logged_trm(*args, **kwargs):
+        alive_in_matching.append(pooled_refs[-1]() is not None)
+        return trm(*args, **kwargs)
+
+    monkeypatch.setattr(model, "enrich_block", logged_enrich)
+    monkeypatch.setattr(matching, "trm_logits", logged_trm)
+    tm, qc = score_episode(Tape(grad=False), episode, params, cfg, use_qc=False)
+    assert qc is None
+    tm_qc, _ = score_episode(Tape(grad=False), episode, params, cfg)
+    assert tm.data.tobytes() == tm_qc.data.tobytes()
+    assert alive_in_matching == [not use_fle, True]
