@@ -311,7 +311,7 @@ def _write_csv(path: Path, rows: np.ndarray) -> None:
 def _write_pgm(path: Path, grid: np.ndarray) -> None:
     side = grid.shape[0]
     header = f"P5\n{side} {side}\n255\n".encode("ascii")
-    write_atomic(path, header + grid.astype(np.uint8).tobytes())
+    write_atomic(path, [header, grid.astype(np.uint8)])
 
 
 def cmd_attn_export(args) -> int:

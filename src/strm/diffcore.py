@@ -123,18 +123,31 @@ class Tensor:
 
 
 class Param:
-    """Named learnable tensor with an additively accumulated gradient."""
+    """Named learnable tensor with an additively accumulated gradient; the
+    buffer is allocated on the first read of `grad` (backward, sgd_step, a
+    gradient check), never by zero_grad, so forward-only runs hold none."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "_grad")
 
     def __init__(self, name: str, value: Tensor) -> None:
         self.name = name
         self.value = value
         value.needs_grad = True
-        self.grad = np.zeros_like(value.data)
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray) -> None:  # in-place updates: p.grad *= s
+        self._grad = g
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"
@@ -358,7 +371,9 @@ class Tape:
         for p in parts:
             if p.shape != shape:
                 raise ShapeError(f"stack needs equal shapes, got {shape} and {p.shape}")
-        out = Tensor(np.stack([p.data for p in parts], axis=0))
+        data = [p.data for p in parts]  # one tensor repeated: a read-only view
+        out = Tensor(np.broadcast_to(data[0], (len(parts),) + shape)
+                     if all(p is parts[0] for p in parts) else np.stack(data, axis=0))
         inputs = [(p.key, p.needs_grad) for p in parts]
 
         def backward(g, adj):

@@ -216,8 +216,7 @@ def save_clip(record: ClipRecord, path: str | Path) -> None:
     clip = record.features
     header = _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, record.label,
                           clip.frames, clip.patches, clip.channels)
-    payload = clip.payload.astype("<f4").tobytes()
-    write_atomic(path, header + payload)
+    write_atomic(path, [header, np.ascontiguousarray(clip.payload, dtype="<f4")])
 
 
 def load_clip(path: str | Path) -> ClipRecord:
@@ -260,22 +259,28 @@ def write_manifest(records: list[tuple[str, int]], path: str | Path) -> None:
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace the file at `path` with `data` so that it holds either its old
-    contents or all of the new ones, never a torn write: the bytes go to a
-    temp file in the same directory, are flushed to disk, and the temp file
-    is then renamed over `path`."""
+def write_atomic(path: str | Path, data: bytes | list) -> None:
+    """Replace `path` with `data` (bytes, or a list of C-contiguous buffers
+    written back to back), never leaving a torn file: a temp file in the same
+    directory is written, flushed to disk and renamed over `path`, and the
+    directory is then flushed so that the rename survives a crash."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in [data] if isinstance(data, bytes) else data:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:

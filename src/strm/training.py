@@ -5,6 +5,7 @@ and the ablation runner."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -219,52 +220,56 @@ def train(
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     plist = params.all()
-    chunks.append(struct.pack("<I", len(plist)))
+    chunks = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(plist))]
     for p in plist:
-        name = p.name.encode("utf-8")
-        shape = p.value.shape
-        chunks.append(struct.pack("<I", len(name)))
-        chunks.append(name)
-        chunks.append(struct.pack("<I", len(shape)))
-        chunks.append(struct.pack(f"<{len(shape)}I", *shape))
-        chunks.append(p.value.data.astype("<f8").tobytes())
-    write_atomic(path, b"".join(chunks))
+        name, shape = p.name.encode("utf-8"), p.value.shape
+        chunks.append(struct.pack(f"<I{len(name)}sI{len(shape)}I",
+                                  len(name), name, len(shape), *shape))
+        chunks.append(np.ascontiguousarray(p.value.data, dtype="<f8"))  # no copy
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Read each parameter straight into its own array, once the bytes left
+    in the file are known to hold every extent its record claims."""
     path = Path(path)
-    raw = path.read_bytes()
-    view = memoryview(raw)
-    if len(raw) < 12:
-        raise CheckpointFormatError(f"{path}: shorter than the fixed header")
-    if bytes(view[:4]) != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {bytes(view[:4])!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
-    offset = 12
     arrays: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            name = bytes(view[offset:offset + name_len]).decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{rank}I", raw, offset)
-            offset += 4 * rank
-            n = int(np.prod(shape)) if rank else 1
-            values = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
-            offset += 8 * n
-            arrays[name] = values.astype(np.float64).reshape(shape)
-    except (struct.error, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: truncated at byte {offset}") from exc
-    if offset != len(raw):
-        raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def claim(n: int, what: str) -> int:
+            if n > size - fh.tell():
+                raise CheckpointFormatError(f"{path}: truncated at byte {fh.tell()} in "
+                                            f"{what}: {n} bytes claimed, {size - fh.tell()} left")
+            return n
+
+        if size < 12:
+            raise CheckpointFormatError(f"{path}: shorter than the fixed header")
+        head = fh.read(12)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {head[:4]!r}")
+        version, count = struct.unpack_from("<II", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(
+                f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
+        for index in range(count):
+            what = f"parameter #{index}"
+            (name_len,) = struct.unpack("<I", fh.read(claim(4, what)))
+            try:
+                name = fh.read(claim(name_len, what)).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointFormatError(f"{path}: {what}: name is not UTF-8") from exc
+            what = f"parameter {name}"
+            (rank,) = struct.unpack("<I", fh.read(claim(4, what)))
+            shape = struct.unpack(f"<{rank}I", fh.read(claim(4 * rank, what)))
+            claim(8 * math.prod(shape), what)
+            values = np.empty(shape, "<f8")
+            if fh.readinto(values) != values.nbytes:
+                raise CheckpointFormatError(f"{path}: truncated in {what}")
+            arrays[name] = values.astype(np.float64, copy=False)
+        if fh.tell() != size:
+            raise CheckpointFormatError(f"{path}: {size - fh.tell()} trailing bytes")
     for name, values in arrays.items():
         finite = np.isfinite(values)
         if not finite.all():

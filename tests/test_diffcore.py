@@ -331,6 +331,8 @@ OP_SCENARIOS = {
     "scale": lambda tape, p, c: tape.scale(p[0].value, -1.7),
     "concat": lambda tape, p, c: tape.concat([p[0].value, p[4].value], axis=1),
     "stack": lambda tape, p, c: tape.stack([p[0].value, p[4].value]),
+    # repeats of one tensor: a broadcast view whose adjoints add up
+    "stack1": lambda tape, p, c: tape.stack([p[0].value] * 3),
     "reshape": lambda tape, p, c: tape.reshape(p[0].value, (p[0].value.size,)),
     "slice_rows": lambda tape, p, c: tape.slice_rows(p[0].value, 1, p[0].value.shape[0]),
     "combine_rows": lambda tape, p, c: tape.combine_rows(
@@ -470,6 +472,32 @@ def test_gradient_accumulation_is_additive():
     assert np.array_equal(w.grad, g1 + g2)
 
 
+def test_gradient_buffer_is_allocated_on_first_read():
+    """A forward pass and zero_grad leave a Param without a gradient buffer;
+    the first read allocates zeros, and backward adds into that buffer."""
+    w = as_param("w", [[1.0, -2.0], [3.0, 0.5]])
+    x = Tensor([[0.5, 1.0], [2.0, -1.0]])
+    zero_grads([w])
+    for tape in (Tape(grad=False), Tape()):
+        l2_norm(tape, tape.matmul(x, w.value))
+    assert w._grad is None
+    buffer = w.grad
+    assert buffer is w.grad and np.array_equal(buffer, np.zeros((2, 2)))
+    tape = Tape()
+    tape.backward(l2_norm(tape, tape.matmul(x, w.value)), [w])
+    assert w.grad is buffer and np.abs(buffer).sum() > 0
+
+
+def test_scaling_grad_in_place_reaches_the_param():
+    w = as_param("w", [[1.0, -2.0], [3.0, 0.5]])
+    tape = Tape()
+    tape.backward(l2_norm(tape, w.value), [w])
+    expected = w.grad * 1.001
+    w.grad *= 1.001
+    assert np.array_equal(w.grad, expected)
+    assert np.array_equal(copy.deepcopy(w).grad, expected)
+
+
 def test_second_backward_on_one_tape_raises_and_adds_nothing():
     w = as_param("w", [[1.0, -2.0], [3.0, 0.5]])
     x = Tensor([[0.5, 1.0], [2.0, -1.0]])
@@ -580,6 +608,38 @@ def test_transpose_is_a_view():
             out = tape.transpose(x)
             assert np.shares_memory(out.data, x.data)
             assert np.array_equal(out.data, np.swapaxes(x.data, -1, -2))
+
+
+def test_stack_of_one_tensor_is_a_read_only_view():
+    """Repeats of one tensor share its memory; parts that are only equal, or
+    differ, are copied as before, and the values agree either way."""
+    x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
+    twin = Tensor(x.data.copy())
+    for tape in (Tape(), Tape(grad=False)):
+        view = tape.stack([x, x, x])
+        assert np.shares_memory(view.data, x.data) and not view.data.flags.writeable
+        assert np.array_equal(view.data, np.stack([x.data] * 3))
+        copied = tape.stack([x, twin])
+        assert not np.shares_memory(copied.data, x.data)
+        assert np.array_equal(copied.data, view.data[:2])
+
+
+def test_products_with_a_stack_view_are_bitwise_those_with_a_copy():
+    """A batched product reads a broadcast stack as it reads the copied one:
+    the output and the other operand's gradient keep their bits."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((40, 16)))
+    w = as_param("w", rng.standard_normal((3, 16, 8)))
+    runs = []
+    for stacked in (Tape().stack([x] * 3), Tensor(np.stack([x.data] * 3))):
+        assert np.shares_memory(stacked.data, x.data) == (not runs)
+        tape = Tape()
+        out = tape.bmm(stacked, w.value)
+        w.zero_grad()
+        tape.backward(l2_norm(tape, out), [w])
+        runs.append((out.data.tobytes(), w.grad.tobytes()))
+    assert runs[0] == runs[1]
+
 
 # -- heap policy ---------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 structure, and episode sampling determinism."""
 
 import os
+import stat
 import struct
 
 import numpy as np
@@ -14,7 +15,7 @@ from strm.episodes import (BadMagicError, ClipFormatError, ClipRecord, Dataset, 
                            TruncatedPayloadError, VersionMismatchError,
                            class_prototype_sequence, generate_synthetic,
                            load_clip, load_dataset, sample_episode, save_clip,
-                           write_manifest)
+                           write_atomic, write_manifest)
 
 
 def make_clip(label=3, frames=4, patches=2, channels=3, seed=0):
@@ -204,6 +205,33 @@ def test_clip_and_manifest_writes_failing_midway_keep_previous_files(tmp_path, m
     with pytest.raises(OSError, match="No space"):
         write_manifest([("a.stfb", 3), ("b.stfb", 4)], manifest)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_write_atomic_writes_buffers_back_to_back_and_flushes_the_directory(
+        tmp_path, monkeypatch):
+    """The file is flushed, renamed into place, and then its directory is
+    flushed, so that the rename itself survives a crash."""
+    path = tmp_path / "out.bin"
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.append(("dir" if stat.S_ISDIR(st.st_mode) else "file",
+                       path.exists() and path.read_bytes()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    grid = np.arange(6, dtype="<f4").reshape(2, 3)
+    write_atomic(path, [b"head", grid, np.float64(2.5).tobytes()])
+    expected = b"head" + grid.tobytes() + np.float64(2.5).tobytes()
+    assert path.read_bytes() == expected
+    assert synced == [("file", False), ("dir", expected)]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    synced.clear()
+    write_atomic(path, b"bytes alone")
+    assert path.read_bytes() == b"bytes alone"
+    assert [kind for kind, _ in synced] == ["file", "dir"]
 
 
 # -- synthetic structure -----------------------------------------------------------

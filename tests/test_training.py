@@ -4,6 +4,7 @@ metric-log determinism, and the whole-model gradient check."""
 import hashlib
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -574,6 +575,22 @@ def test_needs_grad_survives_checkpoint_and_sgd(tmp_path):
 # -- checkpoints ---------------------------------------------------------------------
 
 
+def u32(*values) -> bytes:
+    return b"".join(int(v).to_bytes(4, "little") for v in values)
+
+
+def v1_reference(params) -> bytes:
+    """The v1 checkpoint layout, assembled field by field: magic, version and
+    count, then per parameter its name, rank, extents and values."""
+    plist = params.all()
+    out = b"STCK" + u32(1, len(plist))
+    for p in plist:
+        name = p.name.encode("utf-8")
+        out += u32(len(name)) + name + u32(p.value.ndim, *p.value.shape)
+        out += p.value.data.astype("<f8").tobytes()
+    return out
+
+
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     cfg = ModelConfig(seed=3, **TINY)
     params = build_params(cfg)
@@ -606,18 +623,24 @@ def test_checkpoint_format_header(tmp_path):
 
 
 def test_checkpoint_corruption_detected(tmp_path):
-    cfg = ModelConfig(seed=0, **TINY)
-    path = tmp_path / "m.stck"
-    save_checkpoint(build_params(cfg), path)
-    raw = path.read_bytes()
-    (tmp_path / "trunc.stck").write_bytes(raw[:-9])
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(tmp_path / "trunc.stck")
-    bad = bytearray(raw)
-    bad[:4] = b"NOPE"
-    (tmp_path / "magic.stck").write_bytes(bytes(bad))
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(tmp_path / "magic.stck")
+    """Each malformed file raises CheckpointFormatError with its own message,
+    which starts with the file's path; a truncation names the parameter."""
+    params = build_params(ModelConfig(seed=0, **TINY))
+    raw = v1_reference(params)
+    last = params.all()[-1].name
+    cases = {
+        "magic": (b"NOPE" + raw[4:], r"bad magic b'NOPE'"),
+        "version": (raw[:4] + u32(2) + raw[8:], r"version 2, expected 1"),
+        "trailing": (raw + b"abc", r": 3 trailing bytes"),
+        "short": (raw[:10], r"shorter than the fixed header"),
+        "values": (raw[:-9], rf"truncated at byte \d+ in parameter {re.escape(last)}: "),
+    }
+    for case, (data, message) in cases.items():
+        path = tmp_path / f"{case}.stck"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointFormatError, match=message) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: "), case
 
 
 def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
@@ -664,6 +687,81 @@ def test_checkpoint_nonfinite_value_names_parameter_and_index(tmp_path):
                        match=r"fle\.channel_mix1 .* flat index 10\b") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+# Eval-wide sizes: 4.85 MB of parameters, the largest 0.52 MB.
+WIDE = dict(patches=16, channels=256, refine_hidden=128, embed_dim=128, code_dim=128)
+
+
+def test_checkpoint_bytes_are_the_v1_layout_both_ways(tmp_path):
+    params = build_params(ModelConfig(seed=2, omegas=(2, 3), **TINY))
+    path = tmp_path / "m.stck"
+    save_checkpoint(params, path)
+    assert path.read_bytes() == v1_reference(params)
+    (tmp_path / "ref.stck").write_bytes(v1_reference(params))
+    arrays = load_checkpoint(tmp_path / "ref.stck")
+    assert list(arrays) == [p.name for p in params.all()]
+    for p in params.all():
+        assert arrays[p.name].dtype == np.float64
+        assert arrays[p.name].tobytes() == p.value.data.tobytes()
+
+
+def traced_peak(fn) -> tuple[int, object]:
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_checkpoint_streams_the_parameters(tmp_path):
+    """Each value array is written as it is: the tracemalloc peak stays below
+    the largest parameter plus 1 MiB (writing a joined copy would peak at
+    twice the 4.85 MB of parameters)."""
+    params = build_params(ModelConfig(seed=0, **WIDE))
+    largest = max(p.value.data.nbytes for p in params.all())
+    peak, _ = traced_peak(lambda: save_checkpoint(params, tmp_path / "w.stck"))
+    assert peak < largest + (1 << 20), (peak, largest)
+
+
+def test_loaded_parameters_are_held_once(tmp_path):
+    """load_checkpoint plus params_from_arrays peaks at no more than 1.1x the
+    parameter bytes (the file's bytes and a widened copy beside them would be
+    2x), and evaluate on the loaded parameters allocates no gradient buffer."""
+    path = tmp_path / "w.stck"
+    save_checkpoint(build_params(ModelConfig(seed=0, **WIDE)), path)
+    peak, params = traced_peak(lambda: params_from_arrays(load_checkpoint(path)))
+    total = sum(p.value.data.nbytes for p in params.all())
+    assert peak <= 1.1 * total, peak / total
+    cfg = ModelConfig(seed=0, **TINY)
+    path = tmp_path / "tiny.stck"
+    save_checkpoint(build_params(cfg), path)
+    params = params_from_arrays(load_checkpoint(path))
+    evaluate(tiny_dataset(), params, cfg, EpisodeSpec(ways=2, shots=1, seed=0), 3)
+    assert all(p._grad is None for p in params.all())
+
+
+NAME = b"ple.query_proj"
+HUGE_RECORDS = {  # each claims 2^32 - 1 name bytes, 2^32 - 1 extents or 2^32 values
+    "name": (u32((1 << 32) - 1) + NAME, r"parameter #0: 4294967295 bytes claimed"),
+    "rank": (u32(len(NAME)) + NAME + u32((1 << 32) - 1, 4),
+             r"parameter ple\.query_proj: 17179869180 bytes claimed"),
+    "values": (u32(len(NAME)) + NAME + u32(2, 1 << 16, 1 << 16) + bytes(64),
+               r"parameter ple\.query_proj: 34359738368 bytes claimed, 64 left"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_RECORDS))
+def test_checkpoint_claims_beyond_the_file_are_refused_before_allocating(tmp_path, field):
+    """A record claiming more bytes than the file holds is a format error
+    naming the parameter, raised before anything is allocated, not a
+    MemoryError."""
+    record, message = HUGE_RECORDS[field]
+    path = tmp_path / "huge.stck"
+    path.write_bytes(b"STCK" + u32(1, 1) + record)
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
 
 
 def test_infer_config_from_params():
