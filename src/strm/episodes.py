@@ -78,15 +78,21 @@ class InsufficientClipsError(ValueError):
 
 
 class FeatureClip:
-    """One clip's features, [frames x patches x channels], kept as given: a
-    loaded clip holds its float32 payload as a read-only view of the file's
-    bytes, a clip built in memory from a Tensor holds its float64 array.
+    """One clip's features, [frames x patches x channels].
+
+    A clip built in memory keeps its array as given (a Tensor's float64
+    array). A clip loaded from a file keeps only the file's path, the
+    extents and the file's identity (device, inode, size, mtime) taken when
+    load_clip validated it: each read of `payload` re-reads the float32
+    values from the file into a fresh read-only array, and raises
+    ClipFormatError naming the file if it was replaced, rewritten, truncated
+    or removed since, or NonFiniteClipError if a value is no longer finite.
     `values` is the float64 Tensor of the features, widened when stored as
     float32; the model widens an episode's clips a group at a time instead
     (enrich_block).
     """
 
-    __slots__ = ("payload",)
+    __slots__ = ("shape", "_array", "_path", "_identity")
 
     def __init__(self, values: Tensor | np.ndarray) -> None:
         payload = values.data if isinstance(values, Tensor) else values
@@ -94,7 +100,22 @@ class FeatureClip:
             raise ValueError(f"clip features must be rank-3, got {payload.shape}")
         if payload.shape[0] < 2:
             raise ValueError(f"clips need at least 2 frames, got {payload.shape[0]}")
-        self.payload = payload
+        self.shape = payload.shape
+        self._array = payload
+        self._path = self._identity = None
+
+    @classmethod
+    def _in_file(cls, path: str, shape: tuple[int, int, int],
+                 identity: tuple[int, int, int, int]) -> FeatureClip:
+        clip = cls.__new__(cls)
+        clip.shape, clip._array, clip._path, clip._identity = shape, None, path, identity
+        return clip
+
+    @property
+    def payload(self) -> np.ndarray:
+        if self._path is None:
+            return self._array
+        return _reread(self._path, self.shape, self._identity)
 
     @property
     def values(self) -> Tensor:
@@ -102,15 +123,15 @@ class FeatureClip:
 
     @property
     def frames(self) -> int:
-        return self.payload.shape[0]
+        return self.shape[0]
 
     @property
     def patches(self) -> int:
-        return self.payload.shape[1]
+        return self.shape[1]
 
     @property
     def channels(self) -> int:
-        return self.payload.shape[2]
+        return self.shape[2]
 
 
 @dataclass
@@ -131,7 +152,7 @@ class Dataset:
         if not self.clips:
             raise ValueError("dataset is empty")
         for c in self.clips:
-            if c.features.payload.shape != self.clips[0].features.payload.shape:
+            if c.features.shape != self.clips[0].features.shape:
                 raise ValueError(_extents_mismatch(c, self.clips[0]))
         by_label: dict[int, list[ClipRecord]] = {}
         for c in self.clips:
@@ -220,11 +241,26 @@ def save_clip(record: ClipRecord, path: str | Path) -> None:
 
 
 def load_clip(path: str | Path) -> ClipRecord:
+    """Validate a clip file (header, extents, size, finite values) and return
+    its record; the features keep the file's identity, not its values."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        st = os.fstat(fd)
+        label, shape = _check_header(path, os.pread(fd, _HEADER.size, 0), st.st_size)
+        _read_values(fd, path, shape)
+    finally:
+        os.close(fd)
+    return ClipRecord(clip_id=path.stem, label=label,
+                      features=FeatureClip._in_file(os.fspath(path), shape, _identity(st)))
+
+
+def _check_header(path: str | Path, header: bytes,
+                  size: int) -> tuple[int, tuple[int, int, int]]:
+    """The label and extents of a clip file of `size` bytes starting with `header`."""
+    if len(header) < _HEADER.size:
         raise TruncatedPayloadError(f"{path}: shorter than the fixed header")
-    magic, version, label, frames, patches, channels = _HEADER.unpack_from(raw)
+    magic, version, label, frames, patches, channels = _HEADER.unpack(header)
     if magic != CLIP_MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != CLIP_VERSION:
@@ -236,21 +272,60 @@ def load_clip(path: str | Path) -> ClipRecord:
         raise ClipFormatError(f"{path}: clips need at least 2 frames, got {frames}")
     count = frames * patches * channels
     expected = _HEADER.size + 4 * count
-    if len(raw) < expected:
+    if size < expected:
         raise TruncatedPayloadError(
-            f"{path}: payload holds {(len(raw) - _HEADER.size) // 4} of {count} floats")
-    if len(raw) > expected:
-        raise TruncatedPayloadError(f"{path}: {len(raw) - expected} trailing bytes")
-    values = np.frombuffer(raw, dtype="<f4", count=count, offset=_HEADER.size)
+            f"{path}: payload holds {(size - _HEADER.size) // 4} of {count} floats")
+    if size > expected:
+        raise TruncatedPayloadError(f"{path}: {size - expected} trailing bytes")
+    return label, (frames, patches, channels)
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_values(fd: int, path: str | Path, shape: tuple[int, int, int]) -> np.ndarray:
+    """The payload after the header of the open clip file `fd`, as a fresh
+    read-only float32 array, refused unless every value is finite."""
+    values = np.empty(shape, dtype="<f4")
+    done = os.preadv(fd, [values], _HEADER.size)
+    while done < values.nbytes:  # one read returns at most ~2 GiB
+        got = os.preadv(fd, [memoryview(values).cast("B")[done:]], _HEADER.size + done)
+        if got == 0:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {done // 4} of {values.size} floats")
+        done += got
     finite = np.isfinite(values)
     if not finite.all():
-        first = int(np.argmin(finite))
-        frame, patch, channel = np.unravel_index(first, (frames, patches, channels))
+        first = np.unravel_index(int(np.argmin(finite)), shape)
         raise NonFiniteClipError(
-            f"{path}: non-finite value {values[first]} at frame {frame}, "
-            f"patch {patch}, channel {channel}")
-    return ClipRecord(clip_id=path.stem, label=label,
-                      features=FeatureClip(values.reshape(frames, patches, channels)))
+            f"{path}: non-finite value {values[first]} at frame {first[0]}, "
+            f"patch {first[1]}, channel {first[2]}")
+    values.flags.writeable = False
+    return values
+
+
+def _reread(path: str, shape: tuple[int, int, int],
+            identity: tuple[int, int, int, int]) -> np.ndarray:
+    """A loaded clip's payload, read again from its file, which must still be
+    the file load_clip validated."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError as exc:
+        raise ClipFormatError(f"{path}: removed since it was loaded") from exc
+    try:
+        now = _identity(os.fstat(fd))
+        if now != identity:
+            if now[:2] != identity[:2]:
+                change = "replaced by another file"
+            elif now[2] != identity[2]:
+                change = f"{now[2]} bytes, {identity[2]} when loaded"
+            else:
+                change = "rewritten in place"
+            raise ClipFormatError(f"{path}: changed since it was loaded ({change})")
+        return _read_values(fd, path, shape)
+    finally:
+        os.close(fd)
 
 
 def write_manifest(records: list[tuple[str, int]], path: str | Path) -> None:
@@ -284,31 +359,44 @@ def write_atomic(path: str | Path, data: bytes | list) -> None:
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Load and validate every clip a manifest lists, one `path<TAB>label`
+    line each; errors name the manifest line. A file listed twice (the same
+    device and inode, whatever the path) is refused."""
     manifest_path = Path(manifest_path)
     clips = []
+    lines_by_file: dict[tuple[int, int], int] = {}
     for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{manifest_path}:{lineno}"
         try:
             rel, label_text = line.split("\t")
         except ValueError as exc:
-            raise ClipFormatError(f"{manifest_path}:{lineno}: expected `path<TAB>label`") from exc
+            raise ClipFormatError(f"{where}: expected `path<TAB>label`") from exc
+        try:
+            label = int(label_text)
+        except ValueError as exc:
+            raise ClipFormatError(f"{where}: label {label_text!r} is not an integer") from exc
         record_path = manifest_path.parent / rel
         record = load_clip(record_path)
-        if record.label != int(label_text):
+        if record.label != label:
             raise ClipFormatError(
-                f"{manifest_path}:{lineno}: manifest label {label_text} != "
-                f"file label {record.label}")
-        if clips and record.features.payload.shape != clips[0].features.payload.shape:
-            raise ClipFormatError(f"{manifest_path}:{lineno}: {record_path}: "
+                f"{where}: manifest label {label_text} != file label {record.label}")
+        first = lines_by_file.setdefault(record.features._identity[:2], lineno)
+        if first != lineno:
+            raise ClipFormatError(f"{where}: {record_path} is the file of line {first}")
+        if clips and record.features.shape != clips[0].features.shape:
+            raise ClipFormatError(f"{where}: {record_path}: "
                                   f"{_extents_mismatch(record, clips[0])}")
         clips.append(record)
+    if not clips:
+        raise ClipFormatError(f"{manifest_path}: lists no clips")
     return Dataset(clips)
 
 
 def _extents_mismatch(clip: ClipRecord, first: ClipRecord) -> str:
-    return (f"clip {clip.clip_id!r} has extents {clip.features.payload.shape}, "
-            f"clip {first.clip_id!r} has {first.features.payload.shape}")
+    return (f"clip {clip.clip_id!r} has extents {clip.features.shape}, "
+            f"clip {first.clip_id!r} has {first.features.shape}")
 
 
 # -- synthetic data -----------------------------------------------------------

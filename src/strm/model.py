@@ -284,14 +284,17 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
     pooled frames (None unless use_qc and the similarity head is on).
 
     The whole episode is enriched as one block; one row slice per block takes
-    out the class-major support rows and one the query rows. Unless the
-    similarity head is scored, the pooled rows are dropped before matching.
+    out the class-major support rows and one the query rows. The clips'
+    payloads (a loaded clip reads its file for each) are dropped once the
+    block is enriched and, unless the similarity head is scored, so are the
+    pooled rows.
     """
     shots = [len(way_clips) for way_clips in episode.support]
     matching.check_class_sizes(shots)
     clips = [rec.features.payload for way_clips in episode.support for rec in way_clips]
     clips += [rec.features.payload for rec, _ in episode.queries]
     pooled, enriched = enrich_block(tape, clips, params, config)
+    del clips
     score_qc = use_qc and params.qc and config.use_qc
     if not score_qc:
         del pooled

@@ -27,7 +27,7 @@ def test_two_runs_of_a_tiny_sweep_print_the_same_output():
     assert lines[0] == "threads\tconfig\tstages\tsha256"
     rows = [line.split("\t") for line in lines[1:]]
     assert [(t, c, s) for t, c, s, _ in rows] == [
-        (str(t), c, s) for t in (1, 2) for c in ("omega2", "omega23", "keep0.2")
+        (str(t), c, s) for t in (1, 2) for c in ("omega2", "omega23", "keep0.2", "loaded")
         for s in ("all-on", "all-off", "ple+qc")]
     assert all(len(digest) == 64 for *_, digest in rows)
 

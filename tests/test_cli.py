@@ -396,6 +396,25 @@ def test_eval_bad_clip_extents_are_io_errors_naming_the_file(
     assert str(data / rel) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,where", [
+    (lambda lines: lines[:1] + [lines[1].split("\t")[0] + "\tzero"], ":2: label 'zero' is"),
+    (lambda lines: lines + lines[:1], f":{4 * 4 + 1}: "),
+    (lambda lines: [], ": lists no clips"),
+], ids=["label", "listed-twice", "empty"])
+def test_eval_manifest_errors_are_io_errors_naming_the_line(
+        tmp_path, tiny_data, tiny_checkpoint, capsys, edit, where):
+    """A label that is not an integer, a clip listed twice and an empty
+    manifest each exit 3 and name the manifest (and its line)."""
+    data = tmp_path / "ds"
+    shutil.copytree(tiny_data, data)
+    manifest = data / "manifest.tsv"
+    manifest.write_text("".join(f"{line}\n" for line in
+                                edit(manifest.read_text().splitlines())))
+    assert run(["eval", "--data", str(data), "--checkpoint", str(tiny_checkpoint),
+                "--episodes", "2", "--ways", "2", "--shots", "1"]) == EXIT_IO
+    assert f"{manifest}{where}" in capsys.readouterr().err
+
+
 def test_eval_missing_files_are_io_errors(tmp_path, tiny_data):
     assert run(["eval", "--data", str(tmp_path / "nope"), "--checkpoint",
                 str(tmp_path / "nope.stck")]) == EXIT_IO

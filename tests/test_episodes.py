@@ -4,16 +4,19 @@ structure, and episode sampling determinism."""
 import os
 import stat
 import struct
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from strm import episodes
 from strm.diffcore import Tensor
 from strm.episodes import (BadMagicError, ClipFormatError, ClipRecord, Dataset, Episode,
                            EpisodeSpec, ExtentOverflowError, FeatureClip,
                            InsufficientClipsError, NonFiniteClipError, SyntheticSpec,
                            TruncatedPayloadError, VersionMismatchError,
-                           class_prototype_sequence, generate_synthetic,
+                           class_prototype_sequence, filter_labels, generate_synthetic,
                            load_clip, load_dataset, sample_episode, save_clip,
                            write_atomic, write_manifest)
 
@@ -232,6 +235,203 @@ def test_write_atomic_writes_buffers_back_to_back_and_flushes_the_directory(
     write_atomic(path, b"bytes alone")
     assert path.read_bytes() == b"bytes alone"
     assert [kind for kind, _ in synced] == ["file", "dir"]
+
+
+def write_clip_set(root, classes=3, clips=2, **extents):
+    """Clips saved one file each plus their manifest; returns the manifest."""
+    rows = []
+    for label in range(classes):
+        for k in range(clips):
+            record = make_clip(label=label, seed=10 * label + k, **extents)
+            save_clip(record, root / f"{record.clip_id}.stfb")
+            rows.append((f"{record.clip_id}.stfb", label))
+    write_manifest(rows, root / "manifest.tsv")
+    return root / "manifest.tsv"
+
+
+# Each malformed file, and the message load_clip rejects it with.
+LOAD_REJECTIONS = {
+    "short header": (lambda raw: raw[:10], "shorter than the fixed header",
+                     TruncatedPayloadError),
+    "bad magic": (lambda raw: b"XXXX" + raw[4:], "bad magic b'XXXX'", BadMagicError),
+    "version": (lambda raw: raw[:4] + struct.pack("<I", 9) + raw[8:],
+                "version 9, expected 1", VersionMismatchError),
+    "extent overflow": (lambda raw: raw[:12] + struct.pack("<II", 2**30, 2**10) + raw[20:],
+                        "bad extents frames=1073741824 patches=1024 channels=3",
+                        ExtentOverflowError),
+    "zero extent": (lambda raw: raw[:20] + struct.pack("<I", 0) + raw[24:],
+                    "bad extents frames=4 patches=2 channels=0", ExtentOverflowError),
+    "one frame": (lambda raw: raw[:12] + struct.pack("<I", 1) + raw[16:],
+                  "clips need at least 2 frames, got 1", ClipFormatError),
+    "truncated": (lambda raw: raw[:-5], "payload holds 22 of 24 floats",
+                  TruncatedPayloadError),
+    "trailing": (lambda raw: raw + b"\0" * 4, "4 trailing bytes", TruncatedPayloadError),
+    "nan": (lambda raw: raw[:24 + 4 * 15] + np.float32(np.nan).tobytes() + raw[28 + 4 * 15:],
+            "non-finite value nan at frame 2, patch 1, channel 0", NonFiniteClipError),
+    "-inf": (lambda raw: raw[:-4] + np.float32(-np.inf).tobytes(),
+             "non-finite value -inf at frame 3, patch 1, channel 2", NonFiniteClipError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_REJECTIONS))
+def test_every_load_time_rejection_fires_at_load_with_its_message(tmp_path, case):
+    edit, message, error = LOAD_REJECTIONS[case]
+    path = tmp_path / "a.stfb"
+    save_clip(make_clip(), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(error) as info:
+        load_clip(path)
+    assert str(info.value) == f"{path}: {message}"
+    write_manifest([("a.stfb", 3)], tmp_path / "manifest.tsv")
+    with pytest.raises(error) as info:
+        load_dataset(tmp_path / "manifest.tsv")
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("a.stfb\t4", "manifest label 4 != file label 3"),
+    ("a.stfb", "expected `path<TAB>label`"),
+    ("a.stfb\tzero", "label 'zero' is not an integer"),
+])
+def test_manifest_errors_name_the_line(tmp_path, line, message):
+    save_clip(make_clip(label=3, seed=0), tmp_path / "a.stfb")
+    save_clip(make_clip(label=3, seed=1), tmp_path / "b.stfb")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"b.stfb\t3\n\n{line}\n")
+    with pytest.raises(ClipFormatError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == f"{manifest}:3: {message}"
+
+
+def test_empty_manifest_names_its_path(tmp_path):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n  \n")
+    with pytest.raises(ClipFormatError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == f"{manifest}: lists no clips"
+
+
+def test_a_file_listed_twice_names_both_lines(tmp_path):
+    """A second path to one file (here a hard link) is the same clip, which
+    an episode could otherwise draw as both a support and a query."""
+    manifest = write_clip_set(tmp_path, classes=1, clips=2)
+    os.link(tmp_path / "clip0.stfb", tmp_path / "again.stfb")
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("again.stfb\t0\n")
+    with pytest.raises(ClipFormatError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == f"{manifest}:3: {tmp_path / 'again.stfb'} is the file of line 1"
+
+
+def test_a_loaded_clip_set_holds_no_payloads(tmp_path):
+    """At eval-wide's clip size (L=8, P2=16, D=256; 128 KiB of float32 each)
+    the loaded set costs under 1% of its payload bytes."""
+    manifest = write_clip_set(tmp_path, classes=5, clips=6, frames=8, patches=16,
+                              channels=256)
+    payload_bytes = 30 * 8 * 16 * 256 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dataset = load_dataset(manifest)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.clips) == 30
+    assert live < 0.01 * payload_bytes, live / payload_bytes
+
+
+def test_dataset_checks_and_sampling_read_no_payload(tmp_path, monkeypatch):
+    manifest = write_clip_set(tmp_path, classes=3, clips=2)
+
+    def no_read(*args):
+        raise AssertionError("payload read")
+
+    monkeypatch.setattr(episodes, "_reread", no_read)
+    dataset = load_dataset(manifest)
+    assert (dataset.frames, dataset.patches, dataset.channels) == (4, 2, 3)
+    filter_labels(Dataset(list(reversed(dataset.clips))), [0, 1])
+    sample_episode(dataset, EpisodeSpec(ways=3, shots=1, seed=0), 0)
+    with pytest.raises(AssertionError, match="payload read"):
+        dataset.clips[0].features.payload
+
+
+def test_each_read_of_a_loaded_clip_is_a_fresh_read_only_array(tmp_path):
+    path = tmp_path / "a.stfb"
+    record = make_clip()
+    save_clip(record, path)
+    clip = load_clip(path).features
+    first, second = clip.payload, clip.payload
+    assert first is not second and not first.flags.writeable
+    expected = record.features.payload.astype("<f4").tobytes()
+    assert first.tobytes() == second.tobytes() == expected
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        reads = list(pool.map(lambda _: clip.payload.tobytes(), range(40)))
+    assert set(reads) == {first.tobytes()}
+
+
+def test_short_reads_are_resumed_and_an_early_end_is_a_truncation(tmp_path, monkeypatch):
+    """A read may return fewer bytes than asked (at most ~2 GiB at once);
+    the rest is read from where it stopped. A read that ends early (the file
+    shrank after its size was checked) raises instead of returning junk."""
+    path = tmp_path / "a.stfb"
+    record = make_clip()
+    save_clip(record, path)
+    preadv = os.preadv
+    cap = [40]
+
+    def short_preadv(fd, buffers, offset):
+        view = memoryview(buffers[0]).cast("B")
+        return preadv(fd, [view[:cap[0]]], offset)
+
+    monkeypatch.setattr(os, "preadv", short_preadv)
+    clip = load_clip(path).features
+    assert clip.payload.tobytes() == record.features.payload.astype("<f4").tobytes()
+    cap[0] = 0
+    with pytest.raises(TruncatedPayloadError) as info:
+        clip.payload
+    assert str(info.value) == f"{path}: payload holds 0 of 24 floats"
+
+
+def replace_file(path):
+    save_clip(make_clip(seed=1), path)
+
+
+def rewrite(path, value, mtime_step_ns):
+    """Overwrite value #5 (frame 0, patch 1, channel 2) in place and move the
+    modification time by mtime_step_ns."""
+    st = os.stat(path)
+    with open(path, "r+b") as fh:
+        fh.seek(24 + 4 * 5)
+        fh.write(np.float32(value).tobytes())
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + mtime_step_ns))
+
+
+# Each change to a file after load, and the message its next read raises.
+CHANGES_AFTER_LOAD = {
+    "replaced": (replace_file, "changed since it was loaded (replaced by another file)",
+                 ClipFormatError),
+    "rewritten": (lambda path: rewrite(path, 7.0, 10**9),
+                  "changed since it was loaded (rewritten in place)", ClipFormatError),
+    "nan in place, same mtime": (lambda path: rewrite(path, np.nan, 0),
+                                 "non-finite value nan at frame 0, patch 1, channel 2",
+                                 NonFiniteClipError),
+    "truncated": (lambda path: os.truncate(path, 116),
+                  "changed since it was loaded (116 bytes, 120 when loaded)", ClipFormatError),
+    "removed": (os.remove, "removed since it was loaded", ClipFormatError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHANGES_AFTER_LOAD))
+def test_a_clip_file_changed_after_load_raises_at_its_next_read(tmp_path, case):
+    change, message, error = CHANGES_AFTER_LOAD[case]
+    manifest = write_clip_set(tmp_path, classes=2, clips=1)
+    dataset = load_dataset(manifest)
+    path = tmp_path / "clip0.stfb"
+    change(path)
+    with pytest.raises(error) as info:
+        dataset.clips[0].features.values
+    assert str(info.value) == f"{path}: {message}"
+    assert dataset.clips[1].features.payload.shape == (4, 2, 3)
 
 
 # -- synthetic structure -----------------------------------------------------------

@@ -279,10 +279,11 @@ def test_scores_and_similarities_are_freed_on_a_recording_tape(monkeypatch):
 def test_live_bytes_after_a_desk_forward_stay_bounded():
     """tracemalloc's live bytes after forward_episode on a recording tape at
     the desk config (5-way 5-shot, L=8, P2=4, D=64, omega=2, QC on), with
-    the tape and result kept: 5.85 MB measured, the arrays the adjoints read,
-    the largest being TRM's [5 x 140 x 140] attention weights and the
-    widened clip block. The bound is that plus 20%; a tape that keeps every
-    recorded output and every op input (12.5 MB here) fails it."""
+    the tape and result kept: 5.07 MB measured (median over model seeds
+    0-19), the arrays the adjoints read, the largest being TRM's
+    [5 x 140 x 140] attention weights and the widened clip block. The bound
+    is that plus 20%; a tape that keeps every recorded output and every op
+    input (12.5 MB here) fails it."""
     cfg = ModelConfig(seed=2)
     episode, params = desk_episode(cfg), build_params(cfg)
     tracemalloc.start()
@@ -294,7 +295,7 @@ def test_live_bytes_after_a_desk_forward_stay_bounded():
     finally:
         tracemalloc.stop()
     assert result.loss.needs_grad and tape._nodes
-    assert live <= 1.2 * 5.85e6, live / 1e6
+    assert live <= 1.2 * 5.07e6, live / 1e6
 
 
 @pytest.mark.parametrize("use_fle", [True, False])

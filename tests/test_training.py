@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -552,6 +553,27 @@ def test_float32_clips_train_and_evaluate_bit_identical_to_widened(
                       **STAGES[stages], **TINY)
     loaded, widened = loaded_and_widened
     assert run_digest(loaded, cfg) == run_digest(widened, cfg)
+
+
+def test_no_payload_outlives_evaluate_or_the_baseline(loaded_and_widened, monkeypatch):
+    """A loaded clip set reads each clip's payload when an episode uses it,
+    and the bytes die with the episode."""
+    loaded, _ = loaded_and_widened
+    refs = []
+    payload = FeatureClip.payload
+
+    def logged(clip):
+        array = payload.fget(clip)
+        refs.append(weakref.ref(array))
+        return array
+
+    monkeypatch.setattr(FeatureClip, "payload", property(logged))
+    cfg = ModelConfig(seed=0, **TINY)
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
+    evaluate(loaded, build_params(cfg), cfg, spec, 3)
+    mean_pool_baseline(loaded, spec, 3)
+    assert len(refs) == 2 * 3 * 3 * (2 + 2)
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_needs_grad_survives_checkpoint_and_sgd(tmp_path):

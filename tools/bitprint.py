@@ -11,9 +11,11 @@ compute the same bits on the machine and BLAS build that ran them.
     python tools/bitprint.py                # 20 episodes per row
     python tools/bitprint.py --episodes 4   # a quicker sweep
 
-The configs are omega=2, omega={2,3} and keep-ratio 0.2; the stages all on,
-all off and PLE+QC. OPENBLAS_NUM_THREADS must be set before numpy loads, so
-each thread count runs in its own subprocess.
+The configs are omega=2, omega={2,3}, keep-ratio 0.2 and "loaded": omega=2
+on the clip set saved as .stfb files and loaded back with load_dataset, so
+that its float32 payloads are read from the files each episode. The stages
+are all on, all off and PLE+QC. OPENBLAS_NUM_THREADS must be set before numpy
+loads, so each thread count runs in its own subprocess.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from strm.diffcore import Tape  # noqa: E402
 from strm.enrichment import ple_patch_diagnostics  # noqa: E402
-from strm.episodes import (EpisodeSpec, SyntheticSpec, generate_synthetic,  # noqa: E402
-                           sample_episode)
+from strm.episodes import (Dataset, EpisodeSpec, SyntheticSpec,  # noqa: E402
+                           generate_synthetic, load_dataset, sample_episode, save_clip,
+                           write_manifest)
 from strm.model import ModelConfig, build_params, forward_episode  # noqa: E402
 from strm.training import evaluate, mean_pool_baseline, sgd_step  # noqa: E402
 
@@ -39,6 +43,7 @@ CONFIGS = {
     "omega2": dict(omegas=(2,)),
     "omega23": dict(omegas=(2, 3)),
     "keep0.2": dict(omegas=(2,), tuple_keep_ratio=0.2, tuple_seed=1),
+    "loaded": dict(omegas=(2,)),
 }
 STAGES = {
     "all-on": dict(use_ple=True, use_fle=True, use_qc=True),
@@ -75,13 +80,27 @@ def row_digest(config: ModelConfig, dataset, episodes: int) -> str:
     return h.hexdigest()
 
 
+def saved_and_loaded(dataset: Dataset, root: Path) -> Dataset:
+    """The clip set written to `root` with save_clip and write_manifest, as
+    load_dataset returns it."""
+    rows = []
+    for record in dataset.clips:
+        save_clip(record, root / f"{record.clip_id}.stfb")
+        rows.append((f"{record.clip_id}.stfb", record.label))
+    write_manifest(rows, root / "manifest.tsv")
+    return load_dataset(root / "manifest.tsv")
+
+
 def sweep(episodes: int) -> list[tuple[str, str, str]]:
     """(config, stages, sha256) for every row, at this process's BLAS threads."""
     dataset = generate_synthetic(SyntheticSpec(num_classes=6, clips_per_class=10, seed=0))
-    return [(config, stages, row_digest(ModelConfig(seed=0, **CONFIGS[config],
-                                                    **STAGES[stages]),
-                                        dataset, episodes))
-            for config in CONFIGS for stages in STAGES]
+    with tempfile.TemporaryDirectory() as root:
+        datasets = dict.fromkeys(CONFIGS, dataset)
+        datasets["loaded"] = saved_and_loaded(dataset, Path(root))
+        return [(config, stages, row_digest(ModelConfig(seed=0, **CONFIGS[config],
+                                                        **STAGES[stages]),
+                                            datasets[config], episodes))
+                for config in CONFIGS for stages in STAGES]
 
 
 def main(argv: list[str] | None = None) -> int:
