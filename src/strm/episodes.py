@@ -361,10 +361,13 @@ def write_atomic(path: str | Path, data: bytes | list) -> None:
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load and validate every clip a manifest lists, one `path<TAB>label`
     line each; errors name the manifest line. A file listed twice (the same
-    device and inode, whatever the path) is refused."""
+    device and inode, whatever the path) is refused, and so are two files
+    with one clip id (one file stem, as in a/x.stfb and b/x.stfb): sampling
+    orders each class by id."""
     manifest_path = Path(manifest_path)
     clips = []
     lines_by_file: dict[tuple[int, int], int] = {}
+    lines_by_id: dict[str, int] = {}
     for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -385,6 +388,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         first = lines_by_file.setdefault(record.features._identity[:2], lineno)
         if first != lineno:
             raise ClipFormatError(f"{where}: {record_path} is the file of line {first}")
+        first = lines_by_id.setdefault(record.clip_id, lineno)
+        if first != lineno:
+            raise ClipFormatError(
+                f"{where}: {record_path} has clip id {record.clip_id!r}, as has line {first}")
         if clips and record.features.shape != clips[0].features.shape:
             raise ClipFormatError(f"{where}: {record_path}: "
                                   f"{_extents_mismatch(record, clips[0])}")

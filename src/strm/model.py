@@ -3,6 +3,7 @@ forward pass producing the joint training loss."""
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 from . import enrichment, matching
 from .diffcore import Param, ShapeError, Tape, Tensor
 from .enrichment import FLEParams, PLEParams
-from .episodes import Episode
+from .episodes import ClipRecord, Episode, FeatureClip
 from .matching import QCParams, TupleEmbedParams, TupleIndex
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "ENRICH_GROUP_BYTES",
     "enrich_block",
     "enrich_clips",
+    "episode_clips",
+    "score_rows",
     "score_episode",
     "forward_episode",
 ]
@@ -216,34 +219,38 @@ class ForwardResult:
 ENRICH_GROUP_BYTES = 2 << 20
 
 
-def enrich_block(tape: Tape, clips: Sequence[np.ndarray], params: ModelParams,
+def enrich_block(tape: Tape, clips: Sequence[FeatureClip], params: ModelParams,
                  config: ModelConfig) -> tuple[Tensor, Tensor]:
     """Enrich many clips in batched passes.
 
-    Takes the clips' [frames x patches x channels] arrays as stored (float32
-    or float64) and returns (pooled, enriched), the clips' frame rows back to
-    back, each [n * frames x channels]: pooled over patches after patch
-    enrichment, and enriched after frame enrichment. With frame enrichment
-    off they are one tensor. Patch enrichment never crosses a frame, so the
-    clips are widened and patch-enriched in consecutive groups of at most
-    ENRICH_GROUP_BYTES (at least one clip each), sharing PLE's folds, and
-    every row is the same whatever the grouping. Clip values are module
-    inputs, so stacking a group outside the tape is gradient-free; it is
-    also the one place they are widened to float64, which is exact.
+    Takes the clips themselves and returns (pooled, enriched), the clips'
+    frame rows back to back, each [n * frames x channels]: pooled over
+    patches after patch enrichment, and enriched after frame enrichment.
+    With frame enrichment off they are one tensor. Patch enrichment never
+    crosses a frame, so the clips are widened and patch-enriched in
+    consecutive groups of at most ENRICH_GROUP_BYTES (at least one clip
+    each), sharing PLE's folds, and every row is the same whatever the
+    grouping. A group's payloads (float32 or float64 as stored; a loaded
+    clip reads its file) are read only when that group is widened, and die
+    with the widening, so one group's payloads are alive at a time. Clip
+    values are module inputs, so stacking a group outside the tape is
+    gradient-free; it is also the one place they are widened to float64,
+    which is exact.
     """
-    for values in clips:
-        if values.ndim != 3 or values.shape[0] != config.frames \
-                or values.shape[2] != config.channels or values.shape != clips[0].shape:
+    for clip in clips:
+        if clip.shape[0] != config.frames or clip.shape[2] != config.channels \
+                or clip.shape != clips[0].shape:
             raise ShapeError(
-                f"clip shape {values.shape} does not match config "
+                f"clip shape {clip.shape} does not match config "
                 f"[{config.frames} x patches x {config.channels}] and the "
                 f"first clip {clips[0].shape}")
     n = len(clips)
-    per_group = max(1, ENRICH_GROUP_BYTES // (8 * clips[0].size))
+    per_group = max(1, ENRICH_GROUP_BYTES // (8 * math.prod(clips[0].shape)))
     folds = None if params.ple is None else enrichment.ple_folds(tape, params.ple)
 
-    def pool(group: Sequence[np.ndarray]) -> Tensor:
-        block = Tensor(np.concatenate(group, axis=0, dtype=np.float64))
+    def pool(group: Sequence[FeatureClip]) -> Tensor:
+        block = Tensor(np.concatenate([clip.payload for clip in group], axis=0,
+                                      dtype=np.float64))
         if folds is None:
             return tape.mean(block, axis=1)  # (group * frames) x channels
         return enrichment.ple_forward_batch(tape, block, params.ple, folds)
@@ -260,9 +267,11 @@ def enrich_block(tape: Tape, clips: Sequence[np.ndarray], params: ModelParams,
 def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
                  config: ModelConfig,
                  need_pooled: bool = True) -> list[tuple[Tensor | None, Tensor]]:
-    """Per-clip (pooled, enriched) [frames x channels] pairs: enrich_block
-    split into row slices. Pooled is None when not requested."""
-    pooled_all, enriched_all = enrich_block(tape, [v.data for v in clips], params, config)
+    """Per-clip (pooled, enriched) [frames x channels] pairs: enrich_block on
+    the clips as in-memory FeatureClips, split into row slices. Pooled is
+    None when not requested."""
+    pooled_all, enriched_all = enrich_block(tape, [FeatureClip(v) for v in clips],
+                                            params, config)
     out: list[tuple[Tensor | None, Tensor]] = []
     for i in range(len(clips)):
         start, stop = i * config.frames, (i + 1) * config.frames
@@ -276,6 +285,32 @@ def enrich_clips(tape: Tape, clips: Sequence[Tensor], params: ModelParams,
     return out
 
 
+def episode_clips(episode: Episode) -> tuple[list[int], list[ClipRecord]]:
+    """The support clips per class, and the episode's clips in block order:
+    the support clips class-major, then the queries."""
+    shots = [len(way_clips) for way_clips in episode.support]
+    matching.check_class_sizes(shots)
+    return shots, ([rec for way_clips in episode.support for rec in way_clips]
+                   + [rec for rec, _ in episode.queries])
+
+
+def score_rows(tape: Tape, rows: Tensor, shots: Sequence[int], params: ModelParams,
+               config: ModelConfig, similarity: bool = False) -> Tensor:
+    """Logits of every query against every class, [queries x classes], from
+    an episode's frame rows [clips * frames x channels] in episode_clips'
+    order: matching logits on enriched rows, or with `similarity` the
+    similarity head's logits on pooled rows. One row slice takes out the
+    class-major support rows and one the query rows."""
+    support_rows = sum(shots) * config.frames
+    support = tape.slice_rows(rows, 0, support_rows)
+    queries = tape.reshape(tape.slice_rows(rows, support_rows, rows.shape[0]),
+                           (rows.shape[0] // config.frames - sum(shots),
+                            config.frames, config.channels))
+    logits, heads = ((matching.qc_logits, params.qc) if similarity
+                     else (matching.trm_logits, params.trm))
+    return logits(tape, queries, support, config.tuple_sets(), heads, classes=len(shots))
+
+
 def score_episode(tape: Tape, episode: Episode, params: ModelParams,
                   config: ModelConfig,
                   use_qc: bool = True) -> tuple[Tensor, Tensor | None]:
@@ -283,38 +318,20 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
     matching logits on the enriched frames, and similarity logits on the
     pooled frames (None unless use_qc and the similarity head is on).
 
-    The whole episode is enriched as one block; one row slice per block takes
-    out the class-major support rows and one the query rows. The clips'
-    payloads (a loaded clip reads its file for each) are dropped once the
-    block is enriched and, unless the similarity head is scored, so are the
-    pooled rows.
+    The whole episode is enriched as one block by enrich_block, which reads
+    the clips' payloads (a loaded clip reads its file for each) a group at
+    a time, and scored by score_rows. Unless the similarity head is scored,
+    the pooled rows are dropped before matching.
     """
-    shots = [len(way_clips) for way_clips in episode.support]
-    matching.check_class_sizes(shots)
-    clips = [rec.features.payload for way_clips in episode.support for rec in way_clips]
-    clips += [rec.features.payload for rec, _ in episode.queries]
-    pooled, enriched = enrich_block(tape, clips, params, config)
-    del clips
+    shots, records = episode_clips(episode)
+    pooled, enriched = enrich_block(tape, [rec.features for rec in records], params, config)
     score_qc = use_qc and params.qc and config.use_qc
     if not score_qc:
         del pooled
-    support_rows = sum(shots) * config.frames
-    query_shape = (len(episode.queries), config.frames, config.channels)
-    tuple_sets = config.tuple_sets()
-
-    def split(block: Tensor) -> tuple[Tensor, Tensor]:
-        return (tape.slice_rows(block, 0, support_rows),
-                tape.reshape(tape.slice_rows(block, support_rows, block.shape[0]),
-                             query_shape))
-
-    support, queries = split(enriched)
-    tm = matching.trm_logits(tape, queries, support, tuple_sets, params.trm,
-                             classes=len(shots))
+    tm = score_rows(tape, enriched, shots, params, config)
     if not score_qc:
         return tm, None
-    support, queries = split(pooled)
-    return tm, matching.qc_logits(tape, queries, support, tuple_sets, params.qc,
-                                  classes=len(shots))
+    return tm, score_rows(tape, pooled, shots, params, config, similarity=True)
 
 
 def forward_episode(tape: Tape, episode: Episode, params: ModelParams,

@@ -14,8 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import model
-from .diffcore import NumericalError, Param, Tape, finite_diff_gradients, zero_grads
-from .episodes import Dataset, Episode, EpisodeSpec, sample_episode, write_atomic
+from .diffcore import (NumericalError, Param, Tape, Tensor, finite_diff_gradients,
+                       zero_grads)
+from .episodes import (ClipRecord, Dataset, Episode, EpisodeSpec, FeatureClip,
+                       sample_episode, write_atomic)
 from .model import ModelConfig, ModelParams, build_params, forward_episode
 
 __all__ = [
@@ -107,16 +109,52 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
     """Accuracy of matching-head predictions over freshly sampled episodes.
 
     Predictions use the matching logits only; ties resolve to the lowest
-    class index. The half-width is taken over all scored queries. Episodes
-    are scored on a forward-only tape, which keeps no intermediate alive.
+    class index. The half-width is taken over all scored queries.
+
+    The call samples its episodes first, then enriches each distinct clip
+    (each record, whatever its id) once: in first-use order, in chunks of at
+    most one episode's clip count, so each enrich_block call has an
+    episode's shapes, on one forward-only tape, which keeps no intermediate
+    alive. Every episode is then scored from those cached rows by
+    model.score_rows, the matching that score_episode runs. The cache costs
+    L x D x 8 bytes per distinct clip, is a local of the call, and is never
+    kept across calls: training changes the parameters between them. A
+    one-episode call's rows are already in episode order, so it scores views
+    of them.
     """
-    flags: list[tuple[int, int]] = []
+    if n_episodes < 1:
+        raise ValueError(f"need at least 1 eval episode, got {n_episodes}")
+    slots: dict[int, int] = {}  # id(record) -> the record's clip in the cache
+    clips: list[FeatureClip] = []
+    episodes = []  # per episode: shots, its clips' slots, (label, way) per query
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
-        logits, _ = model.score_episode(Tape(grad=False), episode, params, config,
-                                        use_qc=False)
-        flags += [(record.label, int(pred == way)) for (record, way), pred
-                  in zip(episode.queries, np.argmax(logits.data, axis=1))]
+        shots, records = model.episode_clips(episode)
+        for record in records:
+            if slots.setdefault(id(record), len(clips)) == len(clips):
+                clips.append(record.features)
+        episodes.append((shots, np.array([slots[id(record)] for record in records]),
+                         [(record.label, way) for record, way in episode.queries]))
+    tape = Tape(grad=False)
+    per_chunk = len(episodes[0][1])
+    if len(clips) <= per_chunk:
+        cache = model.enrich_block(tape, clips, params, config)[1].data
+    else:
+        cache = np.empty((len(clips) * config.frames, config.channels))
+        for start in range(0, len(clips), per_chunk):
+            chunk = clips[start:start + per_chunk]
+            cache[start * config.frames:(start + len(chunk)) * config.frames] = \
+                model.enrich_block(tape, chunk, params, config)[1].data
+    cache = cache.reshape(len(clips), config.frames, config.channels)
+    flags: list[tuple[int, int]] = []
+    for shots, index, queries in episodes:
+        first = index[0]
+        in_order = np.array_equal(index, np.arange(first, first + len(index)))
+        rows = cache[first:first + len(index)] if in_order else cache[index]
+        logits = model.score_rows(tape, Tensor(rows.reshape(-1, config.channels)),
+                                  shots, params, config)
+        flags += [(label, int(pred == way)) for (label, way), pred
+                  in zip(queries, np.argmax(logits.data, axis=1))]
     return _report(flags, n_episodes)
 
 
@@ -124,19 +162,23 @@ def mean_pool_baseline(dataset: Dataset, spec: EpisodeSpec, n_episodes: int) -> 
     """Order-blind reference classifier: nearest class mean of clip averages.
 
     Each clip is reduced to its mean over frames and patches, so any purely
-    temporal class structure is invisible to it.
+    temporal class structure is invisible to it. Each distinct clip (each
+    record) is read and reduced once per call.
     """
+    means: dict[int, np.ndarray] = {}  # id(record) -> the clip's mean
+
+    def mean(record: ClipRecord) -> np.ndarray:
+        if id(record) not in means:
+            means[id(record)] = record.features.values.data.mean(axis=(0, 1))
+        return means[id(record)]
+
     flags: list[tuple[int, int]] = []
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
-        prototypes = np.stack([
-            np.mean([rec.features.values.data.mean(axis=(0, 1)) for rec in way_clips],
-                    axis=0)
-            for way_clips in episode.support
-        ])
+        prototypes = np.stack([np.mean([mean(rec) for rec in way_clips], axis=0)
+                               for way_clips in episode.support])
         for record, way in episode.queries:
-            pooled = record.features.values.data.mean(axis=(0, 1))
-            dists = np.linalg.norm(prototypes - pooled[None, :], axis=1)
+            dists = np.linalg.norm(prototypes - mean(record)[None, :], axis=1)
             flags.append((record.label, int(int(np.argmin(dists)) == way)))
     return _report(flags, n_episodes)
 

@@ -9,6 +9,7 @@ from strm.enrichment import (fle_forward, fle_forward_batch,
                              init_fle_params, init_ple_params, ple_forward,
                              ple_folds, ple_forward_batch, ple_patch_diagnostics)
 from strm import model
+from strm.episodes import FeatureClip
 from strm.model import ModelConfig, build_params, enrich_block
 
 from test_diffcore import l2_norm
@@ -179,13 +180,17 @@ def test_pooled_ple_zero_params_is_patch_mean():
 # -- pooling -------------------------------------------------------------------
 
 
+def in_memory(arrays):
+    return [FeatureClip(a) for a in arrays]
+
+
 def pooled_raw(clips):
     """Patch-averaged frame rows of raw clips [frames x patches x channels],
     from the model's block enrichment with both stages off."""
     frames, patches, channels = clips[0].shape
     cfg = ModelConfig(frames=frames, patches=patches, channels=channels,
                       use_ple=False, use_fle=False, use_qc=False)
-    pooled, enriched = enrich_block(Tape(), clips, build_params(cfg), cfg)
+    pooled, enriched = enrich_block(Tape(), in_memory(clips), build_params(cfg), cfg)
     assert pooled is enriched
     return pooled.data
 
@@ -245,10 +250,10 @@ def test_enrich_block_rows_independent_of_grouping(monkeypatch, use_ple, use_fle
     clips = [rng.standard_normal((8, 16, 64)).astype(np.float32) for _ in range(7)]
     joins = count_group_joins(monkeypatch)
     monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 8 * sum(c.size for c in clips))
-    whole = enrich_block(Tape(grad=False), clips, params, cfg)
+    whole = enrich_block(Tape(grad=False), in_memory(clips), params, cfg)
     assert joins == []
     monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 3 * 8 * clips[0].size)
-    grouped = enrich_block(Tape(grad=False), clips, params, cfg)
+    grouped = enrich_block(Tape(grad=False), in_memory(clips), params, cfg)
     assert joins == [3]
     for one, many in zip(whole, grouped):
         assert np.array_equal(one.data, many.data)
@@ -356,7 +361,7 @@ def test_grouped_enrich_block_gradients(monkeypatch):
     joins = count_group_joins(monkeypatch)
 
     def build(tape):
-        pooled, enriched = enrich_block(tape, clips, params, cfg)
+        pooled, enriched = enrich_block(tape, in_memory(clips), params, cfg)
         return tape.add(l2_norm(tape, pooled), l2_norm(tape, enriched))
 
     assert_gradients_match(build, params.ple.all() + params.fle.all())

@@ -323,6 +323,22 @@ def test_a_file_listed_twice_names_both_lines(tmp_path):
     assert str(info.value) == f"{manifest}:3: {tmp_path / 'again.stfb'} is the file of line 1"
 
 
+def test_two_files_with_one_clip_id_name_both_lines(tmp_path):
+    """Ids come from file stems, and sampling orders each class by id, so
+    a/x.stfb and b/x.stfb (different files, one id) would leave the order
+    of their class, and so the episodes, to the manifest's order."""
+    for sub, seed in (("a", 1), ("b", 2)):
+        (tmp_path / sub).mkdir()
+        save_clip(make_clip(label=0, seed=seed), tmp_path / sub / "x.stfb")
+    save_clip(make_clip(label=0, seed=3), tmp_path / "y.stfb")
+    manifest = tmp_path / "manifest.tsv"
+    write_manifest([("a/x.stfb", 0), ("y.stfb", 0), ("b/x.stfb", 0)], manifest)
+    with pytest.raises(ClipFormatError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == (f"{manifest}:3: {tmp_path / 'b' / 'x.stfb'} has clip id "
+                               f"'x', as has line 1")
+
+
 def test_a_loaded_clip_set_holds_no_payloads(tmp_path):
     """At eval-wide's clip size (L=8, P2=16, D=256; 128 KiB of float32 each)
     the loaded set costs under 1% of its payload bytes."""

@@ -2,17 +2,18 @@
 batched-vs-single enrichment equivalence, and the block-valued episode path
 against the per-clip one."""
 
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from strm import matching, model
+from strm import enrichment, episodes, matching, model
 from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
 from strm.enrichment import fle_forward, ple_forward
 from strm.episodes import (Episode, EpisodeSpec, SyntheticSpec, generate_synthetic,
-                           sample_episode)
+                           load_dataset, sample_episode, save_clip, write_manifest)
 from strm.matching import qc_logits, trm_logits
 from strm.model import (ModelConfig, build_params, enrich_clips, forward_episode,
                         params_from_arrays, score_episode, validate_against)
@@ -296,6 +297,75 @@ def test_live_bytes_after_a_desk_forward_stay_bounded():
         tracemalloc.stop()
     assert result.loss.needs_grad and tape._nodes
     assert live <= 1.2 * 5.07e6, live / 1e6
+
+
+def test_repeated_stacks_are_read_only_broadcast_views(monkeypatch):
+    """TRM stacks each cardinality's query keys and values once per class,
+    and project_tuples stacks a block's frames once per tuple position (for
+    TRM's support and query embeddings and QC's codes): one tensor repeated,
+    which Tape.stack returns as a read-only broadcast view with leading
+    stride 0. Copies instead would hold 0.78 MB more of a desk forward's
+    live bytes, less than the live-bytes bound's margin, so they are
+    counted here; a stack that copies fails."""
+    cfg = ModelConfig(seed=2)
+    episode, params = desk_episode(cfg), build_params(cfg)
+    stack = Tape.stack
+
+    def stacked(impl):
+        outputs = []
+
+        def logged(tape, parts):
+            out = impl(tape, parts)
+            outputs.append(out.data)
+            return out
+
+        monkeypatch.setattr(Tape, "stack", logged)
+        forward_episode(Tape(), episode, params, cfg)
+        return [a.strides[0] == 0 and not a.flags.writeable for a in outputs]
+
+    # per cardinality: TRM's support and query keys and values, QC's support
+    # and query codes (six per-position stacks), and TRM's two per-class stacks
+    assert stacked(stack) == [True] * 8
+    copying = stacked(lambda tape, parts: stack(tape, [tape.reshape(p, p.shape)
+                                                       for p in parts]))
+    assert copying == [False] * 8
+
+
+def test_enrich_block_reads_one_group_of_payloads_at_a_time(tmp_path, monkeypatch):
+    """A loaded clip is read when its group is widened, and its payload dies
+    with the widening: while a group is patch-enriched, only that group's
+    payloads are alive (at eval-wide sizes one group's 1 MiB, not an
+    episode's 3.75 MiB)."""
+    rows = []
+    for record in generate_synthetic(SyntheticSpec(num_classes=2, clips_per_class=6,
+                                                   seed=1)).clips:
+        save_clip(record, tmp_path / f"{record.clip_id}.stfb")
+        rows.append((f"{record.clip_id}.stfb", record.label))
+    write_manifest(rows, tmp_path / "manifest.tsv")
+    clips = [record.features for record in load_dataset(tmp_path / "manifest.tsv").clips]
+    cfg = ModelConfig(seed=0)
+    params = build_params(cfg)
+    reads, events = [], []
+    reread, ple = episodes._reread, enrichment.ple_forward_batch
+
+    def logged_read(*args):
+        payload = reread(*args)
+        reads.append(weakref.ref(payload))
+        events.append("r")
+        return payload
+
+    def logged_ple(*args):
+        events.append(f"ple({sum(ref() is not None for ref in reads)} alive)")
+        return ple(*args)
+
+    monkeypatch.setattr(episodes, "_reread", logged_read)
+    monkeypatch.setattr(enrichment, "ple_forward_batch", logged_ple)
+    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 5 * 8 * math.prod(clips[0].shape))
+    _, grouped = model.enrich_block(Tape(grad=False), clips, params, cfg)
+    assert "".join(events) == "rrrrrple(0 alive)rrrrrple(0 alive)rrple(0 alive)"
+    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 12 * 8 * math.prod(clips[0].shape))
+    _, whole = model.enrich_block(Tape(grad=False), clips, params, cfg)
+    assert whole.data.tobytes() == grouped.data.tobytes()
 
 
 @pytest.mark.parametrize("use_fle", [True, False])

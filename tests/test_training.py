@@ -1,6 +1,7 @@
 """Training tests: optimizer semantics, loss composition, checkpoints,
 metric-log determinism, and the whole-model gradient check."""
 
+import collections
 import hashlib
 import math
 import os
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strm import cli, model, training
+from strm import cli, episodes, model, training
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
 from strm.episodes import ClipRecord, Dataset, EpisodeSpec, FeatureClip, SyntheticSpec, \
     filter_labels, generate_synthetic, load_dataset, sample_episode, save_clip, \
@@ -556,8 +557,8 @@ def test_float32_clips_train_and_evaluate_bit_identical_to_widened(
 
 
 def test_no_payload_outlives_evaluate_or_the_baseline(loaded_and_widened, monkeypatch):
-    """A loaded clip set reads each clip's payload when an episode uses it,
-    and the bytes die with the episode."""
+    """A loaded clip set reads each clip's payload when a call first uses it,
+    once per call, and the bytes die with the call."""
     loaded, _ = loaded_and_widened
     refs = []
     payload = FeatureClip.payload
@@ -572,8 +573,213 @@ def test_no_payload_outlives_evaluate_or_the_baseline(loaded_and_widened, monkey
     spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
     evaluate(loaded, build_params(cfg), cfg, spec, 3)
     mean_pool_baseline(loaded, spec, 3)
-    assert len(refs) == 2 * 3 * 3 * (2 + 2)
+    assert len(refs) == 2 * len(distinct_clips(loaded, spec, 3))
     assert [ref for ref in refs if ref() is not None] == []
+
+
+# -- one enrichment per distinct clip per evaluate call ---------------------------------
+
+
+def episode_records(episode):
+    return [rec for group in episode.support for rec in group] + \
+        [rec for rec, _ in episode.queries]
+
+
+def distinct_clips(ds, spec, n_episodes):
+    """Every record the first n_episodes episodes draw, once each."""
+    seen = {}
+    for counter in range(n_episodes):
+        for record in episode_records(sample_episode(ds, spec, counter)):
+            seen.setdefault(id(record), record)
+    return list(seen.values())
+
+
+def count_reads(monkeypatch):
+    """Count the payload reads of loaded clips, per file."""
+    reads = collections.Counter()
+    reread = episodes._reread
+
+    def counting(path, *args):
+        reads[path] += 1
+        return reread(path, *args)
+
+    monkeypatch.setattr(episodes, "_reread", counting)
+    return reads
+
+
+def once_each(records):
+    return {record.features._path: 1 for record in records}
+
+
+def test_evaluate_and_the_baseline_read_each_distinct_clip_once_per_call(
+        loaded_and_widened, monkeypatch):
+    loaded, _ = loaded_and_widened
+    cfg = ModelConfig(seed=0, **TINY)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
+    reads = count_reads(monkeypatch)
+    for n_episodes in (1, 3, 40):
+        drawn = distinct_clips(loaded, spec, n_episodes)
+        for call in (lambda: evaluate(loaded, params, cfg, spec, n_episodes),
+                     lambda: mean_pool_baseline(loaded, spec, n_episodes)):
+            reads.clear()
+            call()
+            assert reads == once_each(drawn)
+    assert len(drawn) == len(loaded.clips)  # 40 episodes draw 480 clips of 25
+
+
+def test_training_reads_each_episode_clip_once_and_each_eval_clip_once_per_call(
+        loaded_and_widened, monkeypatch):
+    loaded, _ = loaded_and_widened
+    cfg = ModelConfig(seed=0, **TINY)
+    params = build_params(cfg)
+    plist = params.all()
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
+    reads = count_reads(monkeypatch)
+    for counter in range(3):
+        episode = sample_episode(loaded, spec, counter)
+        reads.clear()
+        tape = Tape()
+        tape.backward(forward_episode(tape, episode, params, cfg).loss, plist)
+        assert reads == once_each(episode_records(episode))
+    zero_grads(plist)
+    reads.clear()
+    train(loaded, cfg, TrainConfig(episodes=4, eval_every=2, eval_episodes=10), spec,
+          params=params)
+    eval_spec = replace(spec, seed=spec.seed + training._EVAL_SEED_OFFSET)
+    assert sum(reads.values()) == 4 * 12 + 2 * len(distinct_clips(loaded, eval_spec, 10))
+
+
+def reference_report(ds, params, cfg, spec, n_episodes):
+    """evaluate as one score_episode per episode, each on a fresh
+    forward-only tape, and the matching logits of every episode."""
+    flags, logits = [], []
+    for counter in range(n_episodes):
+        episode = sample_episode(ds, spec, counter)
+        tm, _ = score_episode(Tape(grad=False), episode, params, cfg, use_qc=False)
+        logits.append(tm.data)
+        flags += [(record.label, int(pred == way)) for (record, way), pred
+                  in zip(episode.queries, np.argmax(tm.data, axis=1))]
+    return training._report(flags, n_episodes), logits
+
+
+def logged_evaluate(monkeypatch):
+    """evaluate that also returns every episode's matching logits, and the
+    root array under the rows each episode was scored from."""
+    score_rows = model.score_rows
+    logits, roots = [], []
+
+    def logged(tape, rows, *args, **kwargs):
+        root = rows.data
+        while root.base is not None:
+            root = root.base
+        roots.append(weakref.ref(root))
+        out = score_rows(tape, rows, *args, **kwargs)
+        logits.append(out.data)
+        return out
+
+    def run(*args):
+        logits.clear()
+        monkeypatch.setattr(model, "score_rows", logged)
+        try:
+            return evaluate(*args), list(logits)
+        finally:
+            monkeypatch.setattr(model, "score_rows", score_rows)
+
+    return run, roots
+
+
+@pytest.mark.parametrize("clips", ["loaded", "in-memory"])
+@pytest.mark.parametrize("stages", sorted(STAGES))
+@pytest.mark.parametrize("omegas,keep_ratio", [((2,), 1.0), ((2, 3), 1.0), ((2,), 0.2)])
+def test_evaluate_from_cached_rows_equals_scoring_each_episode(
+        loaded_and_widened, monkeypatch, omegas, keep_ratio, stages, clips):
+    """Each distinct clip is enriched once per call, in chunks of one
+    episode's clip count; every episode's logits are bitwise those of
+    score_episode on that episode alone."""
+    ds = dict(zip(["loaded", "in-memory"], loaded_and_widened))[clips]
+    cfg = ModelConfig(omegas=omegas, tuple_keep_ratio=keep_ratio, tuple_seed=1, seed=0,
+                      **STAGES[stages], **TINY)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
+    expected, expected_logits = reference_report(ds, params, cfg, spec, 25)
+    run, _ = logged_evaluate(monkeypatch)
+    report, logits = run(ds, params, cfg, spec, 25)
+    assert report == expected
+    assert [a.tobytes() for a in logits] == [a.tobytes() for a in expected_logits]
+
+
+def test_evaluate_cache_keys_on_records_not_clip_ids(monkeypatch):
+    """Records that share a clip id are still different clips."""
+    ds = tiny_dataset(num_classes=4, clips=4, seed=3)
+    same_id = Dataset([ClipRecord("clip", c.label, c.features) for c in ds.clips])
+    cfg = ModelConfig(seed=0, **TINY)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=1, seed=2)
+    expected, expected_logits = reference_report(same_id, params, cfg, spec, 12)
+    run, _ = logged_evaluate(monkeypatch)
+    report, logits = run(same_id, params, cfg, spec, 12)
+    assert report == expected
+    assert [a.tobytes() for a in logits] == [a.tobytes() for a in expected_logits]
+
+
+def test_each_evaluate_call_scores_its_own_parameters_and_drops_its_cache(
+        loaded_and_widened, monkeypatch):
+    """Training changes the parameters between evaluate calls, so no call
+    may reuse another's enriched rows: after an SGD step the next call gives
+    the reference report for the new parameters, and each call's cache (the
+    array under its first episode's rows, L x D x 8 bytes per distinct clip)
+    is gone when the call returns."""
+    loaded, _ = loaded_and_widened
+    cfg = ModelConfig(seed=0, **TINY)
+    params = build_params(cfg)
+    plist = params.all()
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
+    run, roots = logged_evaluate(monkeypatch)
+    calls = []
+    for step in range(2):
+        expected, expected_logits = reference_report(loaded, params, cfg, spec, 10)
+        roots.clear()
+        report, logits = run(loaded, params, cfg, spec, 10)
+        assert report == expected
+        assert [a.tobytes() for a in logits] == [a.tobytes() for a in expected_logits]
+        cache = roots[0]
+        assert [ref for ref in roots if ref() is not None] == []
+        calls.append(logits)
+        tape = Tape()
+        tape.backward(forward_episode(tape, sample_episode(loaded, spec, step), params,
+                                      cfg).loss, plist)
+        sgd_step(plist, 0.5)
+    assert calls[0][0].tobytes() != calls[1][0].tobytes()
+    assert cache() is None
+
+
+def test_evaluate_peak_memory_grows_by_the_cache_only():
+    """A 200-episode evaluate call at P^2=16, D=64 on 100 clips peaks, by
+    tracemalloc, at no more than a one-episode call plus its cache (the
+    enriched rows of every distinct clip, 8 x 64 x 8 bytes each) plus 1 KiB
+    per episode for its bookkeeping (the sampled episodes' cache slots and
+    queries; 0.89 KiB measured): the enrichment and matching transients stay
+    one episode's. One enrich_block call for all 100 clips (6.2 MB) or
+    keeping each episode's gathered rows (27 MB) fails it."""
+    ds = generate_synthetic(SyntheticSpec(num_classes=10, clips_per_class=10, frames=8,
+                                          patches=16, channels=64, seed=0))
+    cfg = ModelConfig(patches=16, channels=64, refine_hidden=32, embed_dim=32,
+                      code_dim=32, seed=0)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=5, shots=5, seed=0)
+
+    def peak_bytes(n_episodes: int) -> int:
+        tracemalloc.start()
+        try:
+            evaluate(ds, params, cfg, spec, n_episodes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cache_bytes = len(distinct_clips(ds, spec, 200)) * 8 * 64 * 8
+    one, many = peak_bytes(1), peak_bytes(200)
+    assert many <= one + cache_bytes + 200 * 1024, (one, many, cache_bytes)
 
 
 def test_needs_grad_survives_checkpoint_and_sgd(tmp_path):
