@@ -347,20 +347,20 @@ class Tape:
 
         return self._record(out, backward, x)
 
-    def concat(self, parts: Sequence[Tensor], axis: int) -> Tensor:
-        if not parts:
-            raise ShapeError("concat needs at least one part")
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-        spans = [(p.key, p.needs_grad, p.shape[axis]) for p in parts]
+    def concat(self, parts: Sequence[Tensor]) -> Tensor:
+        """Matrices of one width joined row-wise; each part's adjoint is a
+        row slice of the output's."""
+        if not parts or any(p.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+            raise ShapeError(f"concat needs matrices of one width, got {[p.shape for p in parts]}")
+        out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+        spans = [(p.key, p.needs_grad, p.shape[0]) for p in parts]
 
         def backward(g, adj):
-            offset = 0
-            for key, grad, extent in spans:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offset, offset + extent)
+            start = 0
+            for key, grad, rows in spans:
                 if grad:
-                    _accum(adj, key, g[tuple(sl)])
-                offset += extent
+                    _accum(adj, key, g[start:start + rows])
+                start += rows
 
         return self._record(out, backward, *parts)
 
@@ -467,19 +467,17 @@ class Tape:
 
         return self._record(out, backward, x)
 
-    def cross_entropy(self, probs: Tensor, target: int | Sequence[int]) -> Tensor:
-        """Negative log-likelihood of `target` under a probability vector; for
-        a matrix of row distributions and one target per row, the vector of
-        per-row losses.
+    def cross_entropy(self, probs: Tensor, targets: Sequence[int]) -> Tensor:
+        """Negative log-likelihood of one target per row of a matrix of row
+        distributions: the vector of per-row losses.
 
         Input must already be distributions; each picked probability is
         clamped at 1e-12 before the log so the loss stays finite.
         """
-        if probs.ndim not in (1, 2):
-            raise ShapeError(f"cross_entropy expects rank-1 or rank-2 input, got {probs.shape}")
-        rows = probs.data.reshape(-1, probs.shape[-1])
-        targets = np.reshape(target, -1).astype(np.intp)
-        if targets.size != len(rows):
+        _need_rank(probs, 2, "cross_entropy")
+        rows = probs.data
+        targets = np.asarray(targets, dtype=np.intp)
+        if targets.shape != (len(rows),):
             raise ShapeError(f"cross_entropy needs one target per row, got "
                              f"{targets.size} for shape {probs.shape}")
         totals = rows.sum(axis=1)
@@ -496,15 +494,14 @@ class Tape:
         clamped = np.maximum(picked, 1e-12)
         # math.log, not np.log: numpy's AVX-512 log is 1 ulp off on about 0.3%
         # of inputs, which would change the loss bits.
-        logs = np.fromiter(map(math.log, clamped), np.float64, len(clamped))
-        out = Tensor(np.reshape(-logs, probs.shape[:-1]))
-        kp, probs_shape, rows_shape = probs.key, probs.shape, rows.shape
+        out = Tensor(-np.fromiter(map(math.log, clamped), np.float64, len(clamped)))
+        kp, rows_shape = probs.key, rows.shape
 
         def backward(g, adj):
             d = np.zeros(rows_shape, dtype=np.float64)
             # below the clamp the loss is locally constant
-            d[at] = np.where(picked >= 1e-12, -np.reshape(g, -1) / clamped, 0.0)
-            _accum(adj, kp, d.reshape(probs_shape))
+            d[at] = np.where(picked >= 1e-12, -g / clamped, 0.0)
+            _accum(adj, kp, d)
 
         return self._record(out, backward, probs)
 

@@ -151,9 +151,10 @@ def _ple_core(tape: Tape, frames: Tensor, params: PLEParams,
     return probs, tape.relu(tape.matmul(hidden, params.refine2.value))
 
 
-def _ple_patches(tape: Tape, frames: Tensor, params: PLEParams) -> Tensor:
+def _ple_patches(tape: Tape, frames: Tensor, params: PLEParams,
+                 folds: tuple[Tensor, Tensor]) -> Tensor:
     """Patch-enriched rows of [n x patches x channels] frames, in that shape."""
-    probs, hidden = _ple_core(tape, frames, params, ple_folds(tape, params))
+    probs, hidden = _ple_core(tape, frames, params, folds)
     flat = tape.reshape(frames, (hidden.shape[0], params.channels))
     values = tape.reshape(tape.matmul(flat, params.value_proj.value), frames.shape)
     attended = tape.add(tape.reshape(tape.bmm(probs, values), flat.shape), flat)
@@ -174,7 +175,7 @@ def ple_forward(tape: Tape, patches: Tensor, params: PLEParams) -> Tensor:
             f"ple_forward needs [patches x {params.channels}], got {patches.shape}"
         )
     frame = tape.reshape(patches, (1,) + patches.shape)
-    return tape.reshape(_ple_patches(tape, frame, params), patches.shape)
+    return tape.reshape(_ple_patches(tape, frame, params, ple_folds(tape, params)), patches.shape)
 
 
 def ple_forward_batch(tape: Tape, frames: Tensor, params: PLEParams,
@@ -259,6 +260,7 @@ def ple_patch_diagnostics(clip: np.ndarray, params: PLEParams | None):
         n, n_patches, _ = x.shape
         return np.zeros((n, n_patches, n_patches)), np.sqrt((x.data * x.data).sum(axis=2))
     tape = Tape(grad=False)
-    enriched = _ple_patches(tape, x, params)
-    scores = _ple_scores(tape, x, ple_folds(tape, params)[0])
+    folds = ple_folds(tape, params)
+    enriched = _ple_patches(tape, x, params, folds)
+    scores = _ple_scores(tape, x, folds[0])
     return scores.data, np.sqrt((enriched.data * enriched.data).sum(axis=2))

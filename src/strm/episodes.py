@@ -143,7 +143,7 @@ class ClipRecord:
 
 @dataclass
 class Dataset:
-    """Immutable collection of clips with uniform extents."""
+    """Immutable collection of clips with uniform extents and distinct ids."""
 
     clips: list[ClipRecord]
     by_label: dict[int, list[ClipRecord]] = field(init=False)
@@ -151,13 +151,18 @@ class Dataset:
     def __post_init__(self) -> None:
         if not self.clips:
             raise ValueError("dataset is empty")
-        for c in self.clips:
+        first_of: dict[str, int] = {}
+        for i, c in enumerate(self.clips):
             if c.features.shape != self.clips[0].features.shape:
                 raise ValueError(_extents_mismatch(c, self.clips[0]))
+            if first_of.setdefault(c.clip_id, i) != i:
+                a, b = (self.clips[j].features._path or f"#{j}" for j in (first_of[c.clip_id], i))
+                raise ValueError(f"clips {a} and {b} have one clip id {c.clip_id!r}; "
+                                 f"sampling orders each class by id")
         by_label: dict[int, list[ClipRecord]] = {}
         for c in self.clips:
             by_label.setdefault(c.label, []).append(c)
-        # Sampling keys on sorted clip ids so iteration order never matters.
+        # Sampling keys on sorted (distinct) clip ids so iteration order never matters.
         self.by_label = {
             label: sorted(group, key=lambda c: c.clip_id)
             for label, group in sorted(by_label.items())

@@ -179,7 +179,7 @@ def _rows(tape: Tape, x: Tensor) -> Tensor:
 
 
 def _concat_rows(tape: Tape, parts: Sequence[Tensor]) -> Tensor:
-    return parts[0] if len(parts) == 1 else tape.concat(list(parts), axis=0)
+    return parts[0] if len(parts) == 1 else tape.concat(parts)
 
 
 def _clip_block(tape: Tape, clips: Sequence[Tensor]) -> tuple[Tensor, int]:

@@ -110,9 +110,6 @@ class ModelParams:
             out.extend(self.qc[omega].all())
         return out
 
-    def by_name(self) -> dict[str, Param]:
-        return {p.name: p for p in self.all()}
-
 
 def _seed_for(config_seed: int):
     def seed_for(name: str):
@@ -256,7 +253,7 @@ def enrich_block(tape: Tape, clips: Sequence[FeatureClip], params: ModelParams,
         return enrichment.ple_forward_batch(tape, block, params.ple, folds)
 
     parts = [pool(clips[i:i + per_group]) for i in range(0, n, per_group)]
-    pooled = parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
+    pooled = parts[0] if len(parts) == 1 else tape.concat(parts)
     if params.fle is None:
         return pooled, pooled
     enriched = enrichment.fle_forward_batch(
@@ -312,26 +309,22 @@ def score_rows(tape: Tape, rows: Tensor, shots: Sequence[int], params: ModelPara
 
 
 def score_episode(tape: Tape, episode: Episode, params: ModelParams,
-                  config: ModelConfig,
-                  use_qc: bool = True) -> tuple[Tensor, Tensor | None]:
+                  config: ModelConfig) -> tuple[Tensor, Tensor | None]:
     """Logits of every query against every class, each [queries x classes]:
     matching logits on the enriched frames, and similarity logits on the
-    pooled frames (None unless use_qc and the similarity head is on).
+    pooled frames (None unless the head is on in both params and config).
 
-    The whole episode is enriched as one block by enrich_block, which reads
-    the clips' payloads (a loaded clip reads its file for each) a group at
-    a time, and scored by score_rows. Unless the similarity head is scored,
-    the pooled rows are dropped before matching.
+    The episode is enriched as one block by enrich_block, which reads the
+    clips' payloads a group at a time, and scored by score_rows. Unless the
+    similarity head is scored, the pooled rows are dropped before matching.
     """
     shots, records = episode_clips(episode)
     pooled, enriched = enrich_block(tape, [rec.features for rec in records], params, config)
-    score_qc = use_qc and params.qc and config.use_qc
-    if not score_qc:
+    if not (params.qc and config.use_qc):
         del pooled
-    tm = score_rows(tape, enriched, shots, params, config)
-    if not score_qc:
-        return tm, None
-    return tm, score_rows(tape, pooled, shots, params, config, similarity=True)
+        return score_rows(tape, enriched, shots, params, config), None
+    return (score_rows(tape, enriched, shots, params, config),
+            score_rows(tape, pooled, shots, params, config, similarity=True))
 
 
 def forward_episode(tape: Tape, episode: Episode, params: ModelParams,

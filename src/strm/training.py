@@ -16,8 +16,8 @@ import numpy as np
 from . import model
 from .diffcore import (NumericalError, Param, Tape, Tensor, finite_diff_gradients,
                        zero_grads)
-from .episodes import (ClipRecord, Dataset, Episode, EpisodeSpec, FeatureClip,
-                       sample_episode, write_atomic)
+from .episodes import (ClipRecord, Dataset, Episode, EpisodeSpec, sample_episode,
+                       write_atomic)
 from .model import ModelConfig, ModelParams, build_params, forward_episode
 
 __all__ = [
@@ -88,18 +88,17 @@ def sgd_step(params: Iterable[Param], learning_rate: float,
         p.zero_grad()
 
 
-def _report(flags: Sequence[tuple[int, int]], episodes: int) -> EvalReport:
+def _report(labels, hits, episodes: int) -> EvalReport:
     """Accuracy, its 95% half-width 1.96 * sqrt(p * (1 - p) / n) and the
-    per-class accuracy of n scored queries, from one (label, hit) pair each."""
+    per-class accuracy of n scored queries, from their labels and hits."""
     if episodes < 1:
         raise ValueError(f"need at least 1 eval episode, got {episodes}")
-    per_class: dict[int, list[int]] = {}
-    for label, hit in flags:
-        per_class.setdefault(label, []).append(hit)
-    accuracy = sum(hit for _, hit in flags) / len(flags)
-    ci = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / len(flags))
-    per_class_accuracy = [(label, float(np.mean(hits)))
-                          for label, hits in sorted(per_class.items())]
+    labels, hits = np.ravel(labels), np.ravel(hits)
+    accuracy = int(hits.sum()) / hits.size
+    ci = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / hits.size)
+    # sorted(set()), not np.unique, which imports numpy.ma (~1.6 MB) on first use
+    per_class_accuracy = [(label, int(hits[labels == label].sum()) / int((labels == label).sum()))
+                          for label in sorted(set(labels.tolist()))]
     return EvalReport(accuracy=accuracy, ci95_halfwidth=ci, episodes=episodes,
                       per_class_accuracy=per_class_accuracy)
 
@@ -111,32 +110,33 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
     Predictions use the matching logits only; ties resolve to the lowest
     class index. The half-width is taken over all scored queries.
 
-    The call samples its episodes first, then enriches each distinct clip
-    (each record, whatever its id) once: in first-use order, in chunks of at
-    most one episode's clip count, so each enrich_block call has an
-    episode's shapes, on one forward-only tape, which keeps no intermediate
-    alive. Every episode is then scored from those cached rows by
-    model.score_rows, the matching that score_episode runs. The cache costs
-    L x D x 8 bytes per distinct clip, is a local of the call, and is never
-    kept across calls: training changes the parameters between them. A
-    one-episode call's rows are already in episode order, so it scores views
-    of them.
+    The call samples its episodes first into int32 tables of cache slots
+    [episodes x clips] and ways [episodes x queries] (one spec, one layout),
+    then enriches each distinct clip (each record, whatever its id) once, in
+    first-use order and chunks of at most one episode's clips, on one
+    forward-only tape. model.score_rows, as in score_episode, scores every
+    episode from those rows (L x D x 8 bytes per distinct clip, dropped with
+    the call, as training changes the parameters between calls); a
+    one-episode call scores views of them.
     """
     if n_episodes < 1:
         raise ValueError(f"need at least 1 eval episode, got {n_episodes}")
     slots: dict[int, int] = {}  # id(record) -> the record's clip in the cache
-    clips: list[FeatureClip] = []
-    episodes = []  # per episode: shots, its clips' slots, (label, way) per query
+    clips, labels = [], []  # per slot
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
-        shots, records = model.episode_clips(episode)
-        for record in records:
+        shots, episode_records = model.episode_clips(episode)
+        if counter == 0:
+            plan = np.empty((n_episodes, len(episode_records)), dtype=np.int32)
+            ways = np.empty((n_episodes, len(episode.queries)), dtype=np.int32)
+        for record in episode_records:
             if slots.setdefault(id(record), len(clips)) == len(clips):
                 clips.append(record.features)
-        episodes.append((shots, np.array([slots[id(record)] for record in records]),
-                         [(record.label, way) for record, way in episode.queries]))
+                labels.append(record.label)
+        plan[counter] = [slots[id(record)] for record in episode_records]
+        ways[counter] = [way for _, way in episode.queries]
     tape = Tape(grad=False)
-    per_chunk = len(episodes[0][1])
+    per_chunk = plan.shape[1]
     if len(clips) <= per_chunk:
         cache = model.enrich_block(tape, clips, params, config)[1].data
     else:
@@ -146,16 +146,15 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
             cache[start * config.frames:(start + len(chunk)) * config.frames] = \
                 model.enrich_block(tape, chunk, params, config)[1].data
     cache = cache.reshape(len(clips), config.frames, config.channels)
-    flags: list[tuple[int, int]] = []
-    for shots, index, queries in episodes:
+    hits = np.empty(ways.shape, dtype=bool)
+    for index, episode_ways, episode_hits in zip(plan, ways, hits):
         first = index[0]
         in_order = np.array_equal(index, np.arange(first, first + len(index)))
         rows = cache[first:first + len(index)] if in_order else cache[index]
         logits = model.score_rows(tape, Tensor(rows.reshape(-1, config.channels)),
                                   shots, params, config)
-        flags += [(label, int(pred == way)) for (label, way), pred
-                  in zip(queries, np.argmax(logits.data, axis=1))]
-    return _report(flags, n_episodes)
+        episode_hits[:] = np.argmax(logits.data, axis=1) == episode_ways
+    return _report(np.array(labels)[plan[:, sum(shots):]], hits, n_episodes)
 
 
 def mean_pool_baseline(dataset: Dataset, spec: EpisodeSpec, n_episodes: int) -> EvalReport:
@@ -172,15 +171,16 @@ def mean_pool_baseline(dataset: Dataset, spec: EpisodeSpec, n_episodes: int) -> 
             means[id(record)] = record.features.values.data.mean(axis=(0, 1))
         return means[id(record)]
 
-    flags: list[tuple[int, int]] = []
+    labels, hits = [], []
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
         prototypes = np.stack([np.mean([mean(rec) for rec in way_clips], axis=0)
                                for way_clips in episode.support])
         for record, way in episode.queries:
             dists = np.linalg.norm(prototypes - mean(record)[None, :], axis=1)
-            flags.append((record.label, int(int(np.argmin(dists)) == way)))
-    return _report(flags, n_episodes)
+            labels.append(record.label)
+            hits.append(int(np.argmin(dists)) == way)
+    return _report(labels, hits, n_episodes)
 
 
 @dataclass

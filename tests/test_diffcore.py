@@ -2,6 +2,7 @@
 oracle, and determinism."""
 
 import copy
+import inspect
 import math
 import os
 import pickle
@@ -202,34 +203,33 @@ def test_forward_only_tape_records_nothing_and_refuses_backward():
 
 
 def test_cross_entropy_uniform():
-    probs = Tensor(np.full(5, 0.2))
-    for target in range(5):
-        out = Tape().cross_entropy(probs, target)
-        assert abs(out.item() - math.log(5)) <= 1e-12
+    probs = Tensor(np.full((5, 5), 0.2))
+    out = Tape().cross_entropy(probs, range(5))
+    assert np.abs(out.data - math.log(5)).max() <= 1e-12
 
 
 def test_cross_entropy_certain():
-    assert Tape().cross_entropy(Tensor([1.0, 0.0, 0.0]), 0).item() == 0.0
+    assert Tape().cross_entropy(Tensor([[1.0, 0.0, 0.0]]), [0]).data[0] == 0.0
 
 
 def test_cross_entropy_direct_value():
-    out = Tape().cross_entropy(Tensor([0.7, 0.2, 0.1]), 1)
-    assert abs(out.item() - (-math.log(0.2))) <= 1e-12
-    assert abs(out.item() - 1.60944) <= 1e-5
+    out = Tape().cross_entropy(Tensor([[0.7, 0.2, 0.1]]), [1])
+    assert abs(out.data[0] - (-math.log(0.2))) <= 1e-12
+    assert abs(out.data[0] - 1.60944) <= 1e-5
 
 
 def test_cross_entropy_rejects_non_distribution():
     with pytest.raises(ValueError, match="distribution"):
-        Tape().cross_entropy(Tensor([0.5, 0.2]), 0)
+        Tape().cross_entropy(Tensor([[0.5, 0.2]]), [0])
 
 
-def test_cross_entropy_rows_match_vector_form():
+def test_cross_entropy_rows_match_one_row_calls():
     probs = np.array([[0.7, 0.2, 0.1], [0.25, 0.25, 0.5]])
     tape = Tape()
     rows = tape.cross_entropy(Tensor(probs), [1, 2])
     assert rows.shape == (2,)
     for i, target in enumerate([1, 2]):
-        assert rows.data[i] == Tape().cross_entropy(Tensor(probs[i]), target).item()
+        assert rows.data[i] == Tape().cross_entropy(Tensor(probs[i:i + 1]), [target]).data[0]
     with pytest.raises(ShapeError, match="one target per row"):
         tape.cross_entropy(Tensor(probs), [1])
 
@@ -243,7 +243,10 @@ def test_cross_entropy_rejects_bad_rows_and_targets():
         with pytest.raises(IndexError, match="out of range for 3 classes"):
             Tape().cross_entropy(good, targets)
     with pytest.raises(IndexError):
-        Tape().cross_entropy(Tensor([0.5, 0.5]), 2)
+        Tape().cross_entropy(Tensor([[0.5, 0.5]]), [2])
+    # one distribution needs a row of its own
+    with pytest.raises(ShapeError, match="rank-2"):
+        Tape().cross_entropy(Tensor([0.5, 0.5]), [0])
 
 
 def test_cross_entropy_clamped_row_is_finite_without_gradient():
@@ -258,13 +261,13 @@ def test_cross_entropy_clamped_row_is_finite_without_gradient():
 
 
 def test_cross_entropy_gradient():
-    p = as_param("p", [0.6, 0.3, 0.1])
+    p = as_param("p", [[0.6, 0.3, 0.1]])
 
     def loss(tape):
-        return tape.cross_entropy(p.value, 1)
+        return tape.mean(tape.cross_entropy(p.value, [1]), axis=0)
 
     grads = tape_grads(loss, [p])
-    assert np.allclose(grads["p"], [0.0, -1.0 / 0.3, 0.0])
+    assert np.allclose(grads["p"], [[0.0, -1.0 / 0.3, 0.0]])
 
 
 # -- aux ops -----------------------------------------------------------------
@@ -304,11 +307,15 @@ def test_concat_roundtrip_gradient():
     b = as_param("b", [[3.0, 4.0], [5.0, 6.0]])
 
     def loss(tape):
-        joined = tape.concat([a.value, b.value], axis=0)
+        joined = tape.concat([a.value, b.value])
         return l2_norm(tape, joined)
 
     errs = relative_errors(loss, [a, b])
     assert max(errs.values()) <= 1e-8
+    with pytest.raises(ShapeError, match="one width"):
+        Tape().concat([a.value, Tensor([[1.0, 2.0, 3.0]])])
+    with pytest.raises(ShapeError, match="one width"):
+        Tape().concat([Tensor([1.0, 2.0])])
 
 
 # -- randomized adjoint checks over every op ----------------------------------
@@ -329,7 +336,7 @@ OP_SCENARIOS = {
     "add": lambda tape, p, c: tape.add(p[0].value, p[0].value),
     "sub": lambda tape, p, c: tape.sub(p[0].value, p[4].value),
     "scale": lambda tape, p, c: tape.scale(p[0].value, -1.7),
-    "concat": lambda tape, p, c: tape.concat([p[0].value, p[4].value], axis=1),
+    "concat": lambda tape, p, c: tape.concat([p[0].value, p[4].value]),
     "stack": lambda tape, p, c: tape.stack([p[0].value, p[4].value]),
     # repeats of one tensor: a broadcast view whose adjoints add up
     "stack1": lambda tape, p, c: tape.stack([p[0].value] * 3),
@@ -367,7 +374,7 @@ OP_SCENARIOS = {
     "bmm2": lambda tape, p, c: tape.bmm(c[2], p[3].value),
     "add1": lambda tape, p, c: tape.add(c[0], p[0].value),
     "sub1": lambda tape, p, c: tape.sub(c[0], p[4].value),
-    "concat1": lambda tape, p, c: tape.concat([c[0], p[4].value, c[4]], axis=1),
+    "concat1": lambda tape, p, c: tape.concat([c[0], p[4].value, c[4]]),
     "cosine_matrix1": lambda tape, p, c: tape.cosine_matrix(p[0].value, c[4]),
     "cosine_matrix2": lambda tape, p, c: tape.cosine_matrix(c[0], p[4].value),
     "combine_rows1": lambda tape, p, c: tape.combine_rows(
@@ -407,6 +414,37 @@ def test_every_tape_op_has_an_adjoint_scenario():
     ops = {name for name, member in vars(Tape).items()
            if callable(member) and not name.startswith("_")} - {"backward"}
     assert ops - {key.rstrip("0123456789") for key in OP_SCENARIOS} == set()
+
+
+# Every public Tape method and its signature: the forms the model calls. A
+# new op or a wider form (an axis argument, an unbatched variant) changes it.
+TAPE_SURFACE = {
+    "backward": "(self, loss: 'Tensor', params: 'Iterable[Param]') -> 'None'",
+    "matmul": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
+    "add": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
+    "sub": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
+    "scale": "(self, x: 'Tensor', s: 'float') -> 'Tensor'",
+    "transpose": "(self, x: 'Tensor') -> 'Tensor'",
+    "bmm": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
+    "reshape": "(self, x: 'Tensor', shape: 'Sequence[int]') -> 'Tensor'",
+    "concat": "(self, parts: 'Sequence[Tensor]') -> 'Tensor'",
+    "stack": "(self, parts: 'Sequence[Tensor]') -> 'Tensor'",
+    "slice_rows": "(self, x: 'Tensor', start: 'int', stop: 'int') -> 'Tensor'",
+    "combine_rows": "(self, x: 'Tensor', mix: 'np.ndarray') -> 'Tensor'",
+    "mean": "(self, x: 'Tensor', axis: 'int') -> 'Tensor'",
+    "relu": "(self, x: 'Tensor') -> 'Tensor'",
+    "softmax_last": "(self, x: 'Tensor') -> 'Tensor'",
+    "cross_entropy": "(self, probs: 'Tensor', targets: 'Sequence[int]') -> 'Tensor'",
+    "rows_l2norm": "(self, x: 'Tensor') -> 'Tensor'",
+    "cosine_matrix": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
+    "max_rows": "(self, x: 'Tensor') -> 'Tensor'",
+}
+
+
+def test_tape_op_surface_is_pinned():
+    surface = {name: str(inspect.signature(member)) for name, member in vars(Tape).items()
+               if callable(member) and not name.startswith("_")}
+    assert surface == TAPE_SURFACE
 
 
 # -- finite-difference oracle itself -------------------------------------------

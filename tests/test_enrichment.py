@@ -8,7 +8,7 @@ from strm.diffcore import Param, ShapeError, Tape, Tensor, finite_diff_gradients
 from strm.enrichment import (fle_forward, fle_forward_batch,
                              init_fle_params, init_ple_params, ple_forward,
                              ple_folds, ple_forward_batch, ple_patch_diagnostics)
-from strm import model
+from strm import enrichment, model
 from strm.episodes import FeatureClip
 from strm.model import ModelConfig, build_params, enrich_block
 
@@ -229,9 +229,9 @@ def count_group_joins(monkeypatch):
     joins = []
     concat = Tape.concat
 
-    def counting(self, parts, axis):
+    def counting(self, parts):
         joins.append(len(parts))
-        return concat(self, parts, axis)
+        return concat(self, parts)
 
     monkeypatch.setattr(Tape, "concat", counting)
     return joins
@@ -409,3 +409,21 @@ def test_diagnostics_match_recomputed_norms():
     assert np.abs(without_norms - np.linalg.norm(clip, axis=2)).max() <= 1e-12
     with pytest.raises(ShapeError):
         ple_patch_diagnostics(clip[0], params)
+
+
+def test_diagnostics_form_the_folds_once(monkeypatch):
+    """The scores and the enriched rows share one set of PLE folds, so a
+    clip's diagnostics pay for one D x D x D key fold."""
+    rng = np.random.default_rng(16)
+    params = init_ple_params(4, 3, seed_for)
+    clip = rng.standard_normal((3, 4, 4))
+    calls = []
+    folds = enrichment.ple_folds
+
+    def counting(*args):
+        calls.append(args)
+        return folds(*args)
+
+    monkeypatch.setattr(enrichment, "ple_folds", counting)
+    ple_patch_diagnostics(clip, params)
+    assert len(calls) == 1

@@ -339,6 +339,27 @@ def test_two_files_with_one_clip_id_name_both_lines(tmp_path):
                                f"'x', as has line 1")
 
 
+def test_a_dataset_refuses_two_records_with_one_clip_id(tmp_path):
+    """Every constructor refuses equal ids, since sampling orders each class
+    by id: the error names both records, by index, or by file when loaded."""
+    clips = [make_clip(label=0, seed=seed) for seed in (1, 2, 1)]
+    with pytest.raises(ValueError) as info:
+        Dataset(clips)
+    assert str(info.value) == ("clips #0 and #2 have one clip id 'clip1'; "
+                               "sampling orders each class by id")
+    with pytest.raises(ValueError, match="clips #0 and #1 have one clip id 'clip1'"):
+        Dataset([clips[0], clips[0]])
+    for sub, seed in (("a", 1), ("b", 2)):
+        (tmp_path / sub).mkdir()
+        save_clip(make_clip(label=0, seed=seed), tmp_path / sub / "x.stfb")
+    loaded = [load_clip(tmp_path / sub / "x.stfb") for sub in ("a", "b")]
+    with pytest.raises(ValueError) as info:
+        Dataset(loaded)
+    assert str(info.value) == (f"clips {tmp_path / 'a' / 'x.stfb'} and "
+                               f"{tmp_path / 'b' / 'x.stfb'} have one clip id 'x'; "
+                               f"sampling orders each class by id")
+
+
 def test_a_loaded_clip_set_holds_no_payloads(tmp_path):
     """At eval-wide's clip size (L=8, P2=16, D=256; 128 KiB of float32 each)
     the loaded set costs under 1% of its payload bytes."""

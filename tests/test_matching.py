@@ -28,7 +28,7 @@ def recursive_tuples(frames, omega, start=0):
 
 def tuple_repr(tape, frames, t):
     """Oracle: the selected frame rows, in tuple order, as one vector."""
-    rows = tape.concat([tape.slice_rows(frames, i, i + 1) for i in t], axis=0)
+    rows = tape.concat([tape.slice_rows(frames, i, i + 1) for i in t])
     return tape.reshape(rows, (len(t) * frames.shape[1],))
 
 

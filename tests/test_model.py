@@ -5,6 +5,7 @@ against the per-clip one."""
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def test_enrich_clips_gradients_match_finite_differences(use_ple):
 
     def build(tape):
         pairs = enrich_clips(tape, values, params, cfg)
-        rows = tape.concat([t for pair in pairs for t in pair], axis=0)
+        rows = tape.concat([t for pair in pairs for t in pair])
         return l2_norm(tape, rows)
 
     zero_grads(plist)
@@ -166,11 +167,11 @@ def per_clip_loss(tape, episode, params, cfg):
     targets = [way for _, way in episode.queries]
     tuples = cfg.tuple_sets()
     tm = trm_logits(tape, tape.stack([e for _, e in queries]),
-                    tape.concat([e for _, e in support], axis=0), tuples, params.trm,
+                    tape.concat([e for _, e in support]), tuples, params.trm,
                     classes=len(shots))
     tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
     qc = qc_logits(tape, tape.stack([p for p, _ in queries]),
-                   tape.concat([p for p, _ in support], axis=0), tuples, params.qc,
+                   tape.concat([p for p, _ in support]), tuples, params.qc,
                    classes=len(shots))
     qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
     return tape.add(tm_mean, tape.scale(qc_mean, cfg.qc_weight))
@@ -370,9 +371,10 @@ def test_enrich_block_reads_one_group_of_payloads_at_a_time(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("use_fle", [True, False])
 def test_unscored_pooled_rows_are_dropped_before_matching(monkeypatch, use_fle):
-    """Without the similarity head, score_episode lets the pooled rows go
-    before tuple matching (with frame enrichment on they are a block of their
-    own; with it off they are the enriched rows, which matching needs)."""
+    """Without the similarity head (here: on in the parameters, off in the
+    config), score_episode lets the pooled rows go before tuple matching
+    (with frame enrichment on they are a block of their own; with it off they
+    are the enriched rows, which matching needs)."""
     cfg = ModelConfig(use_fle=use_fle, seed=2)
     episode, params = desk_episode(cfg), build_params(cfg)
     pooled_refs, alive_in_matching = [], []
@@ -389,7 +391,7 @@ def test_unscored_pooled_rows_are_dropped_before_matching(monkeypatch, use_fle):
 
     monkeypatch.setattr(model, "enrich_block", logged_enrich)
     monkeypatch.setattr(matching, "trm_logits", logged_trm)
-    tm, qc = score_episode(Tape(grad=False), episode, params, cfg, use_qc=False)
+    tm, qc = score_episode(Tape(grad=False), episode, params, replace(cfg, use_qc=False))
     assert qc is None
     tm_qc, _ = score_episode(Tape(grad=False), episode, params, cfg)
     assert tm.data.tobytes() == tm_qc.data.tobytes()
