@@ -364,24 +364,17 @@ class Tape:
 
         return self._record(out, backward, *parts)
 
-    def stack(self, parts: Sequence[Tensor]) -> Tensor:
-        if not parts:
-            raise ShapeError("stack needs at least one part")
-        shape = parts[0].shape
-        for p in parts:
-            if p.shape != shape:
-                raise ShapeError(f"stack needs equal shapes, got {shape} and {p.shape}")
-        data = [p.data for p in parts]  # one tensor repeated: a read-only view
-        out = Tensor(np.broadcast_to(data[0], (len(parts),) + shape)
-                     if all(p is parts[0] for p in parts) else np.stack(data, axis=0))
-        inputs = [(p.key, p.needs_grad) for p in parts]
+    def repeat(self, x: Tensor, n: int) -> Tensor:
+        """n copies of x along a new leading axis, as a read-only broadcast
+        view; the adjoint adds up the copies' adjoints one at a time."""
+        out = Tensor(np.broadcast_to(x.data, (n,) + x.shape))
+        kx = x.key
 
         def backward(g, adj):
-            for i, (key, grad) in enumerate(inputs):
-                if grad:
-                    _accum(adj, key, g[i])
+            for i in range(n):
+                _accum(adj, kx, g[i])
 
-        return self._record(out, backward, *parts)
+        return self._record(out, backward, x)
 
     def slice_rows(self, x: Tensor, start: int, stop: int) -> Tensor:
         """Rows start..stop-1 of a matrix, as a view: tensors are never mutated."""

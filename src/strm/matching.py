@@ -33,7 +33,6 @@ __all__ = [
     "select_tuples",
     "project_tuples",
     "check_class_sizes",
-    "ClassSupportEmbeds",
     "embed_class_supports",
     "trm_distance",
     "trm_logits",
@@ -162,11 +161,11 @@ def project_tuples(
     channels = frames.shape[1]
     width = weight.shape[1]
     clips = frames.shape[0] // clip_frames
-    # Stacking the (small) frames keeps W in place. On a recording tape the
-    # product's node keeps the stacked frames for W's adjoint and a view of W
+    # Repeating the (small) frames keeps W in place. On a recording tape the
+    # product's node keeps the repeated frames for W's adjoint and a view of W
     # for the frames' adjoint; a relaid-out copy of W per call would instead
     # stay alive until backward.
-    per_position = tape.bmm(tape.stack([frames] * omega),
+    per_position = tape.bmm(tape.repeat(frames, omega),
                             tape.reshape(weight, (omega, channels, width)))
     return tape.combine_rows(
         tape.reshape(per_position, (omega, clips, clip_frames, width)),
@@ -182,35 +181,23 @@ def _concat_rows(tape: Tape, parts: Sequence[Tensor]) -> Tensor:
     return parts[0] if len(parts) == 1 else tape.concat(parts)
 
 
-def _clip_block(tape: Tape, clips: Sequence[Tensor]) -> tuple[Tensor, int]:
-    """Frame rows of equally shaped clips back to back, and frames per clip."""
+def _clip_block(tape: Tape, clips: Sequence[Tensor], frames: int | None) -> Tensor:
+    """One class's equally shaped clips as a block of frame rows; with
+    `frames` given, each clip must have that many, the query's frame count."""
     if not clips:
         raise ShapeError("support set is empty")
     shape = clips[0].shape
     for i, clip in enumerate(clips):
         if clip.ndim != 2 or clip.shape != shape:
             raise ShapeError(f"clip {i} has shape {clip.shape}, clip 0 has {shape}")
-    return _concat_rows(tape, clips), shape[0]
+    if frames is not None and shape[0] != frames:
+        raise ShapeError(f"support clips have {shape[0]} frames, the query has {frames}")
+    return _concat_rows(tape, clips)
 
 
-def _one_class(tape: Tape, query_frames: Tensor, support_frames: Sequence[Tensor]) -> Tensor:
-    """One class's support clips as a block of frame rows; each clip must have
-    as many frames as the query clip [L x D]."""
-    block, frames = _clip_block(tape, support_frames)
-    if query_frames.ndim != 2 or query_frames.shape[0] != frames:
-        raise ShapeError(f"support clips have {frames} frames, the query has shape "
-                         f"{query_frames.shape}")
-    return block
-
-
-def _query_block(tape: Tape, query_frames: Tensor) -> tuple[Tensor, int, int]:
-    """Frame rows of one query [L x D] or a query block [Q x L x D], with Q and L."""
-    if query_frames.ndim == 2:
-        return query_frames, 1, query_frames.shape[0]
-    if query_frames.ndim == 3:
-        queries, frames, channels = query_frames.shape
-        return tape.reshape(query_frames, (queries * frames, channels)), queries, frames
-    raise ShapeError(f"query must be [L x D] or [Q x L x D], got {query_frames.shape}")
+def _one_query(tape: Tape, query_frames: Tensor) -> Tensor:
+    """One query clip [L x D] as a query block of one [1 x L x D]."""
+    return tape.reshape(query_frames, (1,) + query_frames.shape)
 
 
 def check_class_sizes(sizes: Sequence[int]) -> None:
@@ -221,22 +208,17 @@ def check_class_sizes(sizes: Sequence[int]) -> None:
                              f"{sizes[0]}; every class needs the same number")
 
 
-def _check_block(block: Tensor, classes: int | None, frames: int) -> None:
-    """A class-major support block [classes * clips * frames x D] holds each
-    class as an equal run of whole clips."""
-    if classes is None or classes < 1 or block.ndim != 2 \
-            or block.shape[0] % (classes * frames) != 0:
-        raise ShapeError(f"support block {block.shape} does not hold "
+def _check_blocks(query_frames: Tensor, support: Tensor, classes: int | None) -> None:
+    """A query block [Q x L x D] against a class-major support block
+    [classes * clips * L x D] that holds each class as an equal run of whole
+    clips of L frames."""
+    if query_frames.ndim != 3:
+        raise ShapeError(f"query block must be [Q x L x D], got {query_frames.shape}")
+    frames = query_frames.shape[1]
+    if classes is None or classes < 1 or support.ndim != 2 \
+            or support.shape[0] % (classes * frames) != 0:
+        raise ShapeError(f"support block {support.shape} does not hold "
                          f"{classes} classes of equal clips of {frames} frames")
-
-
-@dataclass
-class ClassSupportEmbeds:
-    """Per-cardinality key/value embeddings of a support set's tuples, pooled
-    clip-major: omega -> [clips * tuples x embed_dim]."""
-
-    keys: dict[int, Tensor]
-    values: dict[int, Tensor]
 
 
 def _embed_rows(
@@ -245,18 +227,21 @@ def _embed_rows(
     frames: int,
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
-) -> ClassSupportEmbeds:
-    """Key/value embeddings of every tuple of clips stored back to back as
-    frame rows, one projection per weight for all of them."""
+) -> tuple[dict[int, Tensor], dict[int, Tensor]]:
+    """Key and value embeddings of every tuple of clips stored back to back
+    as frame rows, omega -> [clips * tuples x embed_dim], one projection per
+    weight for all of them."""
     keys: dict[int, Tensor] = {}
     values: dict[int, Tensor] = {}
+    # key then value for each omega: the node order sets the order in which
+    # backward adds the frames' adjoints, so all keys first changes bits
     for omega, tuples in tuple_sets.items():
         params = trm_params[omega]
         keys[omega] = _rows(tape, project_tuples(tape, block, frames,
                                                  params.key_proj.value, tuples))
         values[omega] = _rows(tape, project_tuples(tape, block, frames,
                                                    params.value_proj.value, tuples))
-    return ClassSupportEmbeds(keys=keys, values=values)
+    return keys, values
 
 
 def embed_class_supports(
@@ -264,37 +249,27 @@ def embed_class_supports(
     support_frames: Sequence[Tensor],
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
-) -> ClassSupportEmbeds:
-    """Key/value embeddings of every tuple of a support set, one projection
-    per weight for all of its clips."""
-    block, frames = _clip_block(tape, support_frames)
-    return _embed_rows(tape, block, frames, tuple_sets, trm_params)
+) -> Tensor:
+    """One class's support clips as a validated block of frame rows, the
+    per-class form that trm_logits takes as a list. Kept because perfbench's
+    matching gate calls it by name; the embedding happens in trm_logits."""
+    return _clip_block(tape, support_frames, None)
 
 
 def _trm_distances(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Tensor | Sequence[ClassSupportEmbeds],
-    classes: int | None,
+    support: Tensor,
+    classes: int,
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
 ) -> Tensor:
-    """Matching distances [classes x queries] from one query or a query block
-    to every class."""
-    rows, queries, frames = _query_block(tape, query_frames)
-    if isinstance(class_supports, Tensor):
-        _check_block(class_supports, classes, frames)
-        pooled = _embed_rows(tape, class_supports, frames, tuple_sets, trm_params)
-        keys, values = pooled.keys, pooled.values
-    else:
-        classes = len(class_supports)
-        some = next(iter(tuple_sets))
-        check_class_sizes([s.keys[some].shape[0] // len(tuple_sets[some])
-                           for s in class_supports])
-        keys = {w: _concat_rows(tape, [s.keys[w] for s in class_supports])
-                for w in tuple_sets}
-        values = {w: _concat_rows(tape, [s.values[w] for s in class_supports])
-                  for w in tuple_sets}
+    """Matching distances [classes x queries] from a query block to every
+    class of a class-major support block of frame rows."""
+    _check_blocks(query_frames, support, classes)
+    queries, frames = query_frames.shape[:2]
+    rows = _rows(tape, query_frames)
+    keys, values = _embed_rows(tape, support, frames, tuple_sets, trm_params)
 
     def per_class(x: Tensor) -> Tensor:
         return tape.reshape(x, (classes, x.shape[0] // classes, x.shape[1]))
@@ -302,16 +277,16 @@ def _trm_distances(
     # keys transposed for the attention product: [classes x embed_dim x clips * tuples]
     keys_t = {w: tape.transpose(per_class(k)) for w, k in keys.items()}
     values = {w: per_class(v) for w, v in values.items()}
-    query = _embed_rows(tape, rows, frames, tuple_sets, trm_params)
+    q_keys, q_values = _embed_rows(tape, rows, frames, tuple_sets, trm_params)
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
-        q_keys = tape.scale(query.keys[omega], 1.0 / math.sqrt(keys_t[omega].shape[1]))
+        scaled = tape.scale(q_keys[omega], 1.0 / math.sqrt(keys_t[omega].shape[1]))
         # each class block: every query tuple attends over that class's tuples;
         # the scores are used inline, so a forward-only tape frees them
         # before the prototype product
-        probs = tape.softmax_last(tape.bmm(tape.stack([q_keys] * classes), keys_t[omega]))
+        probs = tape.softmax_last(tape.bmm(tape.repeat(scaled, classes), keys_t[omega]))
         prototypes = tape.bmm(probs, values[omega])
-        diffs = tape.sub(tape.stack([query.values[omega]] * classes), prototypes)
+        diffs = tape.sub(tape.repeat(q_values[omega], classes), prototypes)
         norms = tape.rows_l2norm(_rows(tape, diffs))
         dist = tape.mean(tape.reshape(norms, (classes, queries, len(tuples))), axis=2)
         total = dist if total is None else tape.add(total, dist)
@@ -334,15 +309,15 @@ def trm_distance(
     embedding and the prototype is averaged per cardinality, then summed
     over cardinalities.
     """
-    block = _one_class(tape, query_frames, support_frames)
-    return tape.reshape(_trm_distances(tape, query_frames, block, 1,
+    block = _clip_block(tape, support_frames, query_frames.shape[0])
+    return tape.reshape(_trm_distances(tape, _one_query(tape, query_frames), block, 1,
                                        tuple_sets, trm_params), ())
 
 
 def trm_logits(
     tape: Tape,
     query_frames: Tensor,
-    class_supports: Tensor | Sequence[ClassSupportEmbeds],
+    class_supports: Tensor | Sequence[Tensor],
     tuple_sets: dict[int, list[TupleIndex]],
     trm_params: dict[int, TupleEmbedParams],
     classes: int | None = None,
@@ -351,16 +326,21 @@ def trm_logits(
     query clip [L x D], [Q x classes] for a query block [Q x L x D].
 
     Classes come as one class-major support block of frame rows
-    [classes * clips * L x D] with `classes` given, or as per-class
-    embeddings, all of the same number of clips.
+    [classes * clips * L x D] with `classes` given. A list of per-class
+    blocks from embed_class_supports, all of the same number of clips, is
+    joined into that block.
     """
-    count = classes if isinstance(class_supports, Tensor) else len(class_supports)
-    if count is not None and count < 2:
+    if not isinstance(class_supports, Tensor):
+        check_class_sizes([block.shape[0] // query_frames.shape[-2]
+                           for block in class_supports])
+        classes = len(class_supports)
+        class_supports = _concat_rows(tape, class_supports)
+    if classes is not None and classes < 2:
         raise ShapeError("need at least 2 classes")
-    dist = _trm_distances(tape, query_frames, class_supports, classes,
-                          tuple_sets, trm_params)
-    per_query = (tape.reshape(dist, (dist.shape[0],)) if query_frames.ndim == 2
-                 else tape.transpose(dist))
+    single = query_frames.ndim == 2
+    dist = _trm_distances(tape, _one_query(tape, query_frames) if single else query_frames,
+                          class_supports, classes, tuple_sets, trm_params)
+    per_query = tape.reshape(dist, (dist.shape[0],)) if single else tape.transpose(dist)
     return tape.scale(per_query, -1.0)
 
 
@@ -387,25 +367,27 @@ def encode_class_supports(
     qc_params: dict[int, QCParams],
 ) -> dict[int, Tensor]:
     """ReLU codes of every tuple of a support set, pooled clip-major:
-    omega -> [clips * tuples x code_dim]."""
-    block, frames = _clip_block(tape, support_frames)
-    return _encode_rows(tape, block, frames, tuple_sets, qc_params)
+    omega -> [clips * tuples x code_dim]. No scoring path calls it; it is
+    kept because perfbench's tracer wraps it by name."""
+    block = _clip_block(tape, support_frames, None)
+    return _encode_rows(tape, block, support_frames[0].shape[0], tuple_sets, qc_params)
 
 
 def _qc_similarities(
     tape: Tape,
     query_frames: Tensor,
     support: Tensor,
-    classes: int | None,
+    classes: int,
     tuple_sets: dict[int, list[TupleIndex]],
     qc_params: dict[int, QCParams],
 ) -> Tensor:
-    """Similarities [queries x classes] from one query or a query block to
-    every class of a class-major support block of frame rows."""
-    block, queries, frames = _query_block(tape, query_frames)
-    _check_block(support, classes, frames)
+    """Similarities [queries x classes] from a query block to every class of
+    a class-major support block of frame rows."""
+    _check_blocks(query_frames, support, classes)
+    queries, frames = query_frames.shape[:2]
+    rows = _rows(tape, query_frames)
     codes = _encode_rows(tape, support, frames, tuple_sets, qc_params)
-    q_codes = _encode_rows(tape, block, frames, tuple_sets, qc_params)
+    q_codes = _encode_rows(tape, rows, frames, tuple_sets, qc_params)
     total: Tensor | None = None
     for omega, tuples in tuple_sets.items():
         sims = tape.cosine_matrix(q_codes[omega], codes[omega])
@@ -432,8 +414,8 @@ def qc_similarity(
     tuples (zero-norm codes score 0), matches are averaged per cardinality
     and summed over cardinalities.
     """
-    block = _one_class(tape, query_frames, support_frames)
-    return tape.reshape(_qc_similarities(tape, query_frames, block, 1,
+    block = _clip_block(tape, support_frames, query_frames.shape[0])
+    return tape.reshape(_qc_similarities(tape, _one_query(tape, query_frames), block, 1,
                                          tuple_sets, qc_params), ())
 
 
@@ -443,14 +425,11 @@ def qc_logits(
     support: Tensor,
     tuple_sets: dict[int, list[TupleIndex]],
     qc_params: dict[int, QCParams],
-    classes: int | None = None,
+    classes: int,
 ) -> Tensor:
-    """Per-class similarity logits: [classes] for one query clip [L x D],
-    [Q x classes] for a query block [Q x L x D], against one class-major
-    support block of frame rows [classes * clips * L x D] of `classes` classes.
+    """Per-class similarity logits [Q x classes] of a query block [Q x L x D]
+    against one class-major support block of frame rows [classes * clips * L x D].
     """
-    if classes is not None and classes < 2:
+    if classes < 2:
         raise ShapeError("need at least 2 classes")
-    sims = _qc_similarities(tape, query_frames, support, classes,
-                            tuple_sets, qc_params)
-    return tape.reshape(sims, (sims.shape[1],)) if query_frames.ndim == 2 else sims
+    return _qc_similarities(tape, query_frames, support, classes, tuple_sets, qc_params)

@@ -143,15 +143,22 @@ def params_from_arrays(arrays: dict[str, np.ndarray]) -> ModelParams:
     def group(cls, prefix: str):
         return cls(*(take(f"{prefix}.{f.name}") for f in fields(cls)))
 
+    def omegas(head: str) -> list[int]:
+        return sorted({int(parts[1]) for parts in (n.split(".") for n in arrays)
+                       if parts[0] == head and len(parts) == 3 and parts[1].isdecimal()})
+
     ple = group(PLEParams, "ple") if any(n.startswith("ple.") for n in arrays) else None
     fle = group(FLEParams, "fle") if any(n.startswith("fle.") for n in arrays) else None
-    trm_omegas = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("trm.")})
-    if not trm_omegas:
+    trm = {omega: group(TupleEmbedParams, f"trm.{omega}") for omega in omegas("trm")}
+    qc = {omega: group(QCParams, f"qc.{omega}") for omega in omegas("qc")}
+    params = ModelParams(ple=ple, fle=fle, trm=trm, qc=qc)
+    placed = {p.name for p in params.all()}
+    for name in arrays:
+        if name not in placed:
+            raise KeyError(f"parameter {name} has no place in the model")
+    if not trm:
         raise KeyError("no tuple-matching parameters found")
-    trm = {omega: group(TupleEmbedParams, f"trm.{omega}") for omega in trm_omegas}
-    qc_omegas = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("qc.")})
-    qc = {omega: group(QCParams, f"qc.{omega}") for omega in qc_omegas}
-    return ModelParams(ple=ple, fle=fle, trm=trm, qc=qc)
+    return params
 
 
 def infer_config(params: ModelParams, frames: int, patches: int,

@@ -302,6 +302,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 name = fh.read(claim(name_len, what)).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointFormatError(f"{path}: {what}: name is not UTF-8") from exc
+            if name in arrays:
+                raise CheckpointFormatError(
+                    f"{path}: parameter {name} is repeated: records "
+                    f"#{list(arrays).index(name)} and #{index}")
             what = f"parameter {name}"
             (rank,) = struct.unpack("<I", fh.read(claim(4, what)))
             shape = struct.unpack(f"<{rank}I", fh.read(claim(4 * rank, what)))

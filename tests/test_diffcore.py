@@ -327,6 +327,14 @@ def _scalarize(tape, out):
     return l2_norm(tape, out)
 
 
+def stacked(tape, parts):
+    """Equally shaped tensors along a new leading axis: their rows joined,
+    then reshaped."""
+    shape = parts[0].shape
+    rows = [tape.reshape(x, (x.size // shape[-1], shape[-1])) for x in parts]
+    return tape.reshape(tape.concat(rows), (len(parts),) + shape)
+
+
 OP_SCENARIOS = {
     "matmul": lambda tape, p, c: tape.matmul(p[0].value, p[1].value),
     "bmm": lambda tape, p, c: tape.bmm(p[2].value, p[3].value),
@@ -337,13 +345,14 @@ OP_SCENARIOS = {
     "sub": lambda tape, p, c: tape.sub(p[0].value, p[4].value),
     "scale": lambda tape, p, c: tape.scale(p[0].value, -1.7),
     "concat": lambda tape, p, c: tape.concat([p[0].value, p[4].value]),
-    "stack": lambda tape, p, c: tape.stack([p[0].value, p[4].value]),
-    # repeats of one tensor: a broadcast view whose adjoints add up
-    "stack1": lambda tape, p, c: tape.stack([p[0].value] * 3),
+    # two matrices along a new leading axis, as the tests stack them
+    "stack": lambda tape, p, c: stacked(tape, [p[0].value, p[4].value]),
+    # copies of one tensor: a broadcast view whose adjoints add up
+    "repeat": lambda tape, p, c: tape.repeat(p[0].value, 3),
     "reshape": lambda tape, p, c: tape.reshape(p[0].value, (p[0].value.size,)),
     "slice_rows": lambda tape, p, c: tape.slice_rows(p[0].value, 1, p[0].value.shape[0]),
     "combine_rows": lambda tape, p, c: tape.combine_rows(
-        tape.stack([p[2].value, tape.scale(p[2].value, 0.5)]),
+        stacked(tape, [p[2].value, tape.scale(p[2].value, 0.5)]),
         np.eye(p[2].value.shape[1])[[[1, 0, 1], [0, 0, p[2].value.shape[1] - 1]]]),
     "mean0": lambda tape, p, c: tape.mean(p[0].value, axis=0),
     "mean1": lambda tape, p, c: tape.mean(p[0].value, axis=1),
@@ -378,7 +387,7 @@ OP_SCENARIOS = {
     "cosine_matrix1": lambda tape, p, c: tape.cosine_matrix(p[0].value, c[4]),
     "cosine_matrix2": lambda tape, p, c: tape.cosine_matrix(c[0], p[4].value),
     "combine_rows1": lambda tape, p, c: tape.combine_rows(
-        tape.stack([c[2], p[2].value]),
+        stacked(tape, [c[2], p[2].value]),
         np.eye(p[2].value.shape[1])[[[1, 0, 1], [0, 0, p[2].value.shape[1] - 1]]]),
 }
 
@@ -428,7 +437,7 @@ TAPE_SURFACE = {
     "bmm": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
     "reshape": "(self, x: 'Tensor', shape: 'Sequence[int]') -> 'Tensor'",
     "concat": "(self, parts: 'Sequence[Tensor]') -> 'Tensor'",
-    "stack": "(self, parts: 'Sequence[Tensor]') -> 'Tensor'",
+    "repeat": "(self, x: 'Tensor', n: 'int') -> 'Tensor'",
     "slice_rows": "(self, x: 'Tensor', start: 'int', stop: 'int') -> 'Tensor'",
     "combine_rows": "(self, x: 'Tensor', mix: 'np.ndarray') -> 'Tensor'",
     "mean": "(self, x: 'Tensor', axis: 'int') -> 'Tensor'",
@@ -649,30 +658,27 @@ def test_transpose_is_a_view():
 
 
 def test_stack_of_one_tensor_is_a_read_only_view():
-    """Repeats of one tensor share its memory; parts that are only equal, or
-    differ, are copied as before, and the values agree either way."""
+    """repeat stacks copies of one tensor that share its memory, recording or
+    not, with the values of a copied stack."""
     x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    twin = Tensor(x.data.copy())
     for tape in (Tape(), Tape(grad=False)):
-        view = tape.stack([x, x, x])
+        view = tape.repeat(x, 3)
         assert np.shares_memory(view.data, x.data) and not view.data.flags.writeable
+        assert view.data.strides[0] == 0
         assert np.array_equal(view.data, np.stack([x.data] * 3))
-        copied = tape.stack([x, twin])
-        assert not np.shares_memory(copied.data, x.data)
-        assert np.array_equal(copied.data, view.data[:2])
 
 
 def test_products_with_a_stack_view_are_bitwise_those_with_a_copy():
-    """A batched product reads a broadcast stack as it reads the copied one:
+    """A batched product reads a repeat view as it reads the copied stack:
     the output and the other operand's gradient keep their bits."""
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((40, 16)))
     w = as_param("w", rng.standard_normal((3, 16, 8)))
     runs = []
-    for stacked in (Tape().stack([x] * 3), Tensor(np.stack([x.data] * 3))):
-        assert np.shares_memory(stacked.data, x.data) == (not runs)
+    for stacked_x in (Tape().repeat(x, 3), Tensor(np.stack([x.data] * 3))):
+        assert np.shares_memory(stacked_x.data, x.data) == (not runs)
         tape = Tape()
-        out = tape.bmm(stacked, w.value)
+        out = tape.bmm(stacked_x, w.value)
         w.zero_grad()
         tape.backward(l2_norm(tape, out), [w])
         runs.append((out.data.tobytes(), w.grad.tobytes()))

@@ -1,11 +1,13 @@
 """Matching tests: tuple combinatorics against a recursive enumerator, and
 distance/similarity against brute-force nested-loop oracles."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from strm import matching
 from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
 from strm.matching import (check_class_sizes, embed_class_supports,
                            enumerate_tuples, init_qc_params, init_trm_params,
@@ -34,7 +36,9 @@ def tuple_repr(tape, frames, t):
 
 def tuple_matrix(tape, frames, tuples):
     """Oracle: every tuple representation, one per row."""
-    return tape.stack([tuple_repr(tape, frames, t) for t in tuples])
+    width = len(tuples[0]) * frames.shape[1]
+    return tape.concat([tape.reshape(tuple_repr(tape, frames, t), (1, width))
+                        for t in tuples])
 
 
 def support_block(classes):
@@ -330,9 +334,10 @@ def test_trm_logits_same_for_clips_embeddings_and_block():
     tape = Tape()
     embeds = [embed_class_supports(tape, group, tuples, params) for group in classes]
     block = support_block(classes)
-    batched = trm_logits(tape, tape.stack(queries), block, tuples, params, classes=3)
+    stacked = Tensor(np.stack([query.data for query in queries]))
+    batched = trm_logits(tape, stacked, block, tuples, params, classes=3)
     assert batched.shape == (2, 3)
-    batched_qc = qc_logits(tape, tape.stack(queries), block, tuples, qc, classes=3)
+    batched_qc = qc_logits(tape, stacked, block, tuples, qc, classes=3)
     assert batched_qc.shape == (2, 3)
     for q, query in enumerate(queries):
         per_class = [-trm_distance(tape, query, group, tuples, params).item()
@@ -356,8 +361,11 @@ def test_support_block_must_fit_its_classes():
     for classes in (None, 2, 3):
         with pytest.raises(ShapeError):
             trm_logits(Tape(), query, block, tuples, trm, classes=classes)
+    for classes in (2, 3):
         with pytest.raises(ShapeError):
-            qc_logits(Tape(), query, block, tuples, qc, classes=classes)
+            qc_logits(Tape(), Tensor(query.data[None]), block, tuples, qc, classes=classes)
+    with pytest.raises(ShapeError, match=r"query block must be \[Q x L x D\]"):
+        qc_logits(Tape(), query, block, tuples, qc, classes=5)
     with pytest.raises(ShapeError, match="at least 2 classes"):
         trm_logits(Tape(), query, block, tuples, trm, classes=1)
     assert trm_logits(Tape(), query, block, tuples, trm, classes=5).shape == (5,)
@@ -402,9 +410,9 @@ def test_qc_zero_projection_scores_zero():
     out = qc_similarity(Tape(), query, [support], tuples, params)
     assert out.item() == 0.0
     tape = Tape()
-    logits = qc_logits(tape, query, support_block([[support]] * 3), tuples, params,
-                       classes=3)
-    probs = tape.softmax_last(tape.reshape(logits, (1, 3)))
+    logits = qc_logits(tape, Tensor(query.data[None]), support_block([[support]] * 3),
+                       tuples, params, classes=3)
+    probs = tape.softmax_last(logits)
     assert np.abs(probs.data - 1 / 3).max() <= 1e-12
 
 
@@ -439,7 +447,7 @@ def test_qc_argmax_invariant_to_shared_code_rescale():
     rng = np.random.default_rng(12)
     params = {2: init_qc_params(2, 3, 4, seed_for)}
     tuples = {2: enumerate_tuples(4, [2])}
-    query = Tensor(rng.standard_normal((4, 3)))
+    query = Tensor(rng.standard_normal((1, 4, 3)))
     classes = [[Tensor(rng.standard_normal((4, 3)))] for _ in range(3)]
     base = qc_logits(Tape(), query, support_block(classes), tuples, params, classes=3)
     params[2].class_proj.value.data *= 7.5  # scales every code by the same factor
@@ -477,3 +485,55 @@ def test_matching_gradients_match_finite_differences():
         a, f = analytic[p.name], numeric[p.name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
         assert np.max(np.abs(a - f) / denom) <= 1e-5, p.name
+
+
+# -- public surface -------------------------------------------------------------------
+
+# Every public name and its signature (the alias TupleIndex by its value): one
+# support form for scoring, the class-major block, and the per-class adapters
+# that perfbench names. A second form (an embeddings type, a single-query or
+# classes-free qc_logits) changes it.
+MATCHING_SURFACE = {
+    "TupleIndex": "tuple[int, ...]",
+    "TupleEmbedParams": "(key_proj: 'Param', value_proj: 'Param') -> None",
+    "QCParams": "(class_proj: 'Param') -> None",
+    "init_trm_params": "(omega: 'int', channels: 'int', embed_dim: 'int', seed_for) "
+                       "-> 'TupleEmbedParams'",
+    "init_qc_params": "(omega: 'int', channels: 'int', code_dim: 'int', seed_for) "
+                      "-> 'QCParams'",
+    "enumerate_tuples": "(frames: 'int', omegas: 'Sequence[int]') -> 'list[TupleIndex]'",
+    "tuple_count": "(frames: 'int', omega: 'int') -> 'int'",
+    "select_tuples": "(frames: 'int', omegas: 'Sequence[int]', keep_ratio: 'float' = 1.0, "
+                     "tuple_seed: 'int' = 0) -> 'dict[int, list[TupleIndex]]'",
+    "project_tuples": "(tape: 'Tape', frames: 'Tensor', clip_frames: 'int', "
+                      "weight: 'Tensor', tuples: 'Sequence[TupleIndex]') -> 'Tensor'",
+    "check_class_sizes": "(sizes: 'Sequence[int]') -> 'None'",
+    "embed_class_supports": "(tape: 'Tape', support_frames: 'Sequence[Tensor]', "
+                            "tuple_sets: 'dict[int, list[TupleIndex]]', "
+                            "trm_params: 'dict[int, TupleEmbedParams]') -> 'Tensor'",
+    "trm_distance": "(tape: 'Tape', query_frames: 'Tensor', support_frames: 'Sequence[Tensor]', "
+                    "tuple_sets: 'dict[int, list[TupleIndex]]', "
+                    "trm_params: 'dict[int, TupleEmbedParams]') -> 'Tensor'",
+    "trm_logits": "(tape: 'Tape', query_frames: 'Tensor', "
+                  "class_supports: 'Tensor | Sequence[Tensor]', "
+                  "tuple_sets: 'dict[int, list[TupleIndex]]', "
+                  "trm_params: 'dict[int, TupleEmbedParams]', "
+                  "classes: 'int | None' = None) -> 'Tensor'",
+    "encode_class_supports": "(tape: 'Tape', support_frames: 'Sequence[Tensor]', "
+                             "tuple_sets: 'dict[int, list[TupleIndex]]', "
+                             "qc_params: 'dict[int, QCParams]') -> 'dict[int, Tensor]'",
+    "qc_similarity": "(tape: 'Tape', query_frames: 'Tensor', support_frames: 'Sequence[Tensor]', "
+                     "tuple_sets: 'dict[int, list[TupleIndex]]', "
+                     "qc_params: 'dict[int, QCParams]') -> 'Tensor'",
+    "qc_logits": "(tape: 'Tape', query_frames: 'Tensor', support: 'Tensor', "
+                 "tuple_sets: 'dict[int, list[TupleIndex]]', "
+                 "qc_params: 'dict[int, QCParams]', classes: 'int') -> 'Tensor'",
+}
+
+
+def test_matching_surface_is_pinned():
+    surface = {}
+    for name in matching.__all__:
+        member = getattr(matching, name)
+        surface[name] = repr(member) if name == "TupleIndex" else str(inspect.signature(member))
+    assert surface == MATCHING_SURFACE

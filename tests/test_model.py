@@ -3,6 +3,7 @@ batched-vs-single enrichment equivalence, and the block-valued episode path
 against the per-clip one."""
 
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -29,7 +30,8 @@ def enrich_clip(tape, values, params, cfg):
     frames = [Tensor(values.data[i]) for i in range(cfg.frames)]
     if params.ple is not None:
         frames = [ple_forward(tape, f, params.ple) for f in frames]
-    pooled = tape.stack([tape.mean(f, axis=0) for f in frames])
+    pooled = tape.concat([tape.reshape(tape.mean(f, axis=0), (1, cfg.channels))
+                          for f in frames])
     enriched = fle_forward(tape, pooled, params.fle) if params.fle is not None else pooled
     return pooled, enriched
 
@@ -80,6 +82,17 @@ def test_params_roundtrip_through_arrays():
     rebuilt = params_from_arrays(arrays)
     assert {p.name for p in rebuilt.all()} == set(arrays)
     validate_against(rebuilt, cfg)
+
+
+@pytest.mark.parametrize("stray", ["ple.junk", "trm.x.key_proj", "trm.2.key_proj.extra",
+                                   "qc.2", "head.0.weights"])
+def test_params_from_arrays_refuses_a_name_it_cannot_place(stray):
+    """A name outside the model's layout is refused by name, not dropped and
+    not failing on its cardinality field."""
+    arrays = {p.name: p.value.data for p in build_params(ModelConfig(seed=4)).all()}
+    arrays[stray] = np.zeros((2, 2))
+    with pytest.raises(KeyError, match=rf"parameter {re.escape(stray)} has no place"):
+        params_from_arrays(arrays)
 
 
 def test_validate_against_flags_extent_mismatch():
@@ -157,8 +170,8 @@ def test_subsampled_tuple_sets_used_in_forward():
 
 def per_clip_loss(tape, episode, params, cfg):
     """The joint episode loss through per-clip tensors: enrich_clips splits
-    the enriched block into clips, the queries are stacked again and the
-    support clips are concatenated into the class-major block."""
+    the enriched block into clips, the queries are joined again into a query
+    block and the support clips into the class-major block."""
     shots = [len(group) for group in episode.support]
     values = [rec.features.values for group in episode.support for rec in group]
     values += [rec.features.values for rec, _ in episode.queries]
@@ -166,11 +179,12 @@ def per_clip_loss(tape, episode, params, cfg):
     support, queries = pairs[:sum(shots)], pairs[sum(shots):]
     targets = [way for _, way in episode.queries]
     tuples = cfg.tuple_sets()
-    tm = trm_logits(tape, tape.stack([e for _, e in queries]),
+    block = (len(queries), cfg.frames, cfg.channels)
+    tm = trm_logits(tape, tape.reshape(tape.concat([e for _, e in queries]), block),
                     tape.concat([e for _, e in support]), tuples, params.trm,
                     classes=len(shots))
     tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
-    qc = qc_logits(tape, tape.stack([p for p, _ in queries]),
+    qc = qc_logits(tape, tape.reshape(tape.concat([p for p, _ in queries]), block),
                    tape.concat([p for p, _ in support]), tuples, params.qc,
                    classes=len(shots))
     qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
@@ -301,34 +315,33 @@ def test_live_bytes_after_a_desk_forward_stay_bounded():
 
 
 def test_repeated_stacks_are_read_only_broadcast_views(monkeypatch):
-    """TRM stacks each cardinality's query keys and values once per class,
-    and project_tuples stacks a block's frames once per tuple position (for
-    TRM's support and query embeddings and QC's codes): one tensor repeated,
-    which Tape.stack returns as a read-only broadcast view with leading
-    stride 0. Copies instead would hold 0.78 MB more of a desk forward's
-    live bytes, less than the live-bytes bound's margin, so they are
-    counted here; a stack that copies fails."""
+    """TRM repeats each cardinality's query keys and values once per class,
+    and project_tuples repeats a block's frames once per tuple position (for
+    TRM's support and query embeddings and QC's codes). Tape.repeat returns
+    a read-only broadcast view with leading stride 0. Copies instead would
+    hold 0.78 MB more of a desk forward's live bytes, less than the
+    live-bytes bound's margin, so they are counted here; a repeat that
+    copies fails."""
     cfg = ModelConfig(seed=2)
     episode, params = desk_episode(cfg), build_params(cfg)
-    stack = Tape.stack
+    repeat = Tape.repeat
 
-    def stacked(impl):
+    def repeated(impl):
         outputs = []
 
-        def logged(tape, parts):
-            out = impl(tape, parts)
+        def logged(tape, x, n):
+            out = impl(tape, x, n)
             outputs.append(out.data)
             return out
 
-        monkeypatch.setattr(Tape, "stack", logged)
+        monkeypatch.setattr(Tape, "repeat", logged)
         forward_episode(Tape(), episode, params, cfg)
         return [a.strides[0] == 0 and not a.flags.writeable for a in outputs]
 
     # per cardinality: TRM's support and query keys and values, QC's support
-    # and query codes (six per-position stacks), and TRM's two per-class stacks
-    assert stacked(stack) == [True] * 8
-    copying = stacked(lambda tape, parts: stack(tape, [tape.reshape(p, p.shape)
-                                                       for p in parts]))
+    # and query codes (six per-position repeats), and TRM's two per-class ones
+    assert repeated(repeat) == [True] * 8
+    copying = repeated(lambda tape, x, n: tape.reshape(tape.concat([x] * n), (n,) + x.shape))
     assert copying == [False] * 8
 
 

@@ -312,7 +312,7 @@ def test_zero_eval_episodes_rejected_naming_the_count(monkeypatch):
 
 def per_query_accuracy(ds, params, cfg, spec, n_episodes):
     """Accuracy and per-class accuracy with every query scored on its own by
-    trm_logits against per-class support embeddings."""
+    trm_logits against per-class support blocks."""
     tuples = cfg.tuple_sets()
     flags, per_class = [], {}
     for counter in range(n_episodes):
@@ -800,10 +800,11 @@ def u32(*values) -> bytes:
     return b"".join(int(v).to_bytes(4, "little") for v in values)
 
 
-def v1_reference(params) -> bytes:
+def v1_reference(params, plist=None) -> bytes:
     """The v1 checkpoint layout, assembled field by field: magic, version and
-    count, then per parameter its name, rank, extents and values."""
-    plist = params.all()
+    count, then per parameter its name, rank, extents and values. `plist`
+    overrides the records written (params.all() by default)."""
+    plist = params.all() if plist is None else plist
     out = b"STCK" + u32(1, len(plist))
     for p in plist:
         name = p.name.encode("utf-8")
@@ -908,6 +909,19 @@ def test_checkpoint_nonfinite_value_names_parameter_and_index(tmp_path):
                        match=r"fle\.channel_mix1 .* flat index 10\b") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+def test_checkpoint_with_a_repeated_name_is_refused(tmp_path):
+    """Two records of one name would load as one array, the later record
+    winning; the file is refused, naming the parameter and both records."""
+    params = build_params(ModelConfig(seed=0, **TINY))
+    plist = params.all()
+    path = tmp_path / "twice.stck"
+    path.write_bytes(v1_reference(params, plist + [plist[1]]))
+    message = (rf"^{re.escape(str(path))}: parameter {re.escape(plist[1].name)} "
+               rf"is repeated: records #1 and #{len(plist)}$")
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
 
 
 # Eval-wide sizes: 4.85 MB of parameters, the largest 0.52 MB.
