@@ -24,13 +24,13 @@ from .diffcore import NumericalError, ShapeError
 from .enrichment import ple_patch_diagnostics
 from .episodes import (ClipFormatError, Dataset, EpisodeSpec, SyntheticSpec,
                        filter_labels, generate_synthetic, load_clip,
-                       load_dataset, sample_episode, save_clip, write_manifest)
+                       load_dataset, sample_episode, save_clip, write_atomic, write_manifest)
 from .matching import tuple_count
 from .model import (ModelConfig, build_params, infer_config, params_from_arrays,
                     validate_against)
 from .training import (CheckpointFormatError, TrainConfig, evaluate,
                        gradcheck_model, format_metrics, load_checkpoint,
-                       run_ablation, save_checkpoint, train, write_atomic)
+                       run_ablation, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -491,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except (ClipFormatError, CheckpointFormatError, FileNotFoundError, OSError) as exc:
+    except (ClipFormatError, CheckpointFormatError, OSError) as exc:
         print(f"strm: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as exc:

@@ -235,10 +235,12 @@ class SyntheticSpec:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 
 
-# -- binary clip format -------------------------------------------------------
+# -- binary files: clips, and the reader and writer shared with checkpoints ---
 
 
 def save_clip(record: ClipRecord, path: str | Path) -> None:
+    if not 0 <= record.label < 1 << 32:
+        raise ValueError(f"{path}: label {record.label} does not fit the file's u32 label")
     clip = record.features
     header = _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, record.label,
                           clip.frames, clip.patches, clip.channels)
@@ -252,60 +254,41 @@ def load_clip(path: str | Path) -> ClipRecord:
     fd = os.open(path, os.O_RDONLY)
     try:
         st = os.fstat(fd)
-        label, shape = _check_header(path, os.pread(fd, _HEADER.size, 0), st.st_size)
-        _read_values(fd, path, shape)
+        label, frames, patches, channels = _check_header(
+            fd, path, _HEADER, CLIP_MAGIC, CLIP_VERSION,
+            (TruncatedPayloadError, BadMagicError, VersionMismatchError))
+        if min(frames, patches, channels) == 0 or frames * patches * channels > _MAX_ELEMENTS:
+            raise ExtentOverflowError(
+                f"{path}: bad extents frames={frames} patches={patches} channels={channels}")
+        if frames < 2:
+            raise ClipFormatError(f"{path}: clips need at least 2 frames, got {frames}")
+        count = frames * patches * channels
+        expected = _HEADER.size + 4 * count
+        if st.st_size < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {(st.st_size - _HEADER.size) // 4} of {count} floats")
+        if st.st_size > expected:
+            raise TruncatedPayloadError(f"{path}: {st.st_size - expected} trailing bytes")
+        shape = (frames, patches, channels)
+        _clip_values(fd, path, shape)
     finally:
         os.close(fd)
     return ClipRecord(clip_id=path.stem, label=label,
                       features=FeatureClip._in_file(os.fspath(path), shape, _identity(st)))
 
 
-def _check_header(path: str | Path, header: bytes,
-                  size: int) -> tuple[int, tuple[int, int, int]]:
-    """The label and extents of a clip file of `size` bytes starting with `header`."""
-    if len(header) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: shorter than the fixed header")
-    magic, version, label, frames, patches, channels = _HEADER.unpack(header)
-    if magic != CLIP_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != CLIP_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {CLIP_VERSION}")
-    if min(frames, patches, channels) == 0 or frames * patches * channels > _MAX_ELEMENTS:
-        raise ExtentOverflowError(
-            f"{path}: bad extents frames={frames} patches={patches} channels={channels}")
-    if frames < 2:
-        raise ClipFormatError(f"{path}: clips need at least 2 frames, got {frames}")
-    count = frames * patches * channels
-    expected = _HEADER.size + 4 * count
-    if size < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {(size - _HEADER.size) // 4} of {count} floats")
-    if size > expected:
-        raise TruncatedPayloadError(f"{path}: {size - expected} trailing bytes")
-    return label, (frames, patches, channels)
-
-
 def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _read_values(fd: int, path: str | Path, shape: tuple[int, int, int]) -> np.ndarray:
+def _clip_values(fd: int, path: str | Path, shape: tuple[int, int, int]) -> np.ndarray:
     """The payload after the header of the open clip file `fd`, as a fresh
     read-only float32 array, refused unless every value is finite."""
-    values = np.empty(shape, dtype="<f4")
-    done = os.preadv(fd, [values], _HEADER.size)
-    while done < values.nbytes:  # one read returns at most ~2 GiB
-        got = os.preadv(fd, [memoryview(values).cast("B")[done:]], _HEADER.size + done)
-        if got == 0:
-            raise TruncatedPayloadError(
-                f"{path}: payload holds {done // 4} of {values.size} floats")
-        done += got
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = np.unravel_index(int(np.argmin(finite)), shape)
-        raise NonFiniteClipError(
-            f"{path}: non-finite value {values[first]} at frame {first[0]}, "
-            f"patch {first[1]}, channel {first[2]}")
+    values = _read_array(
+        fd, path, _HEADER.size, shape, "<f4", (TruncatedPayloadError, NonFiniteClipError),
+        lambda done: f"payload holds {done} of {math.prod(shape)} floats",
+        lambda value, i: "non-finite value {} at frame {}, patch {}, channel {}".format(
+            value, *np.unravel_index(i, shape)))
     values.flags.writeable = False
     return values
 
@@ -328,7 +311,7 @@ def _reread(path: str, shape: tuple[int, int, int],
             else:
                 change = "rewritten in place"
             raise ClipFormatError(f"{path}: changed since it was loaded ({change})")
-        return _read_values(fd, path, shape)
+        return _clip_values(fd, path, shape)
     finally:
         os.close(fd)
 
@@ -337,6 +320,39 @@ def write_manifest(records: list[tuple[str, int]], path: str | Path) -> None:
     """Write one `path<TAB>label` line per clip."""
     lines = [f"{rel}\t{label}\n" for rel, label in records]
     write_atomic(path, "".join(lines).encode("utf-8"))
+
+
+def _check_header(fd: int, path: str | Path, layout: struct.Struct, magic: bytes,
+                  version: int, errors: tuple[type, type, type]) -> list[int]:
+    """The fields after the magic and the version in the fixed header of the
+    open file `fd`; raises `errors`' short-file, bad-magic or version class."""
+    head = os.pread(fd, layout.size, 0)
+    if len(head) < layout.size:
+        raise errors[0](f"{path}: shorter than the fixed header")
+    found, found_version, *fields = layout.unpack(head)
+    if found != magic:
+        raise errors[1](f"{path}: bad magic {found!r}")
+    if found_version != version:
+        raise errors[2](f"{path}: version {found_version}, expected {version}")
+    return fields
+
+
+def _read_array(fd: int, path: str | Path, offset: int, shape: tuple[int, ...], dtype: str,
+                errors: tuple[type, type], truncated, nonfinite) -> np.ndarray:
+    """The `shape` `dtype` values at `offset` of the open file `fd`, streamed into a
+    fresh array. It raises errors[0] with `truncated(values read)` if the file ends
+    first, and errors[1] with `nonfinite(value, flat index)` at a non-finite value."""
+    values = np.empty(shape, dtype=dtype)
+    done = os.preadv(fd, [values], offset)
+    while done < values.nbytes:  # one read returns at most ~2 GiB; resume after it
+        got = os.preadv(fd, [memoryview(values).cast("B")[done:]], offset + done)
+        if got == 0:
+            raise errors[0](f"{path}: {truncated(done // values.itemsize)}")
+        done += got
+    if not np.isfinite(values).all():
+        first = int(np.argmin(np.isfinite(values)))
+        raise errors[1](f"{path}: {nonfinite(values.reshape(-1)[first], first)}")
+    return values
 
 
 def write_atomic(path: str | Path, data: bytes | list) -> None:
@@ -456,13 +472,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 features=FeatureClip(Tensor(values)),
             ))
     return Dataset(clips)
-
-
-def class_prototype_sequence(spec: SyntheticSpec, label: int) -> np.ndarray:
-    """The noiseless frame sequence a class's clips are built from."""
-    bank_rng = np.random.default_rng([spec.seed, 0])
-    bank = spec.motif_strength * bank_rng.standard_normal((spec.frames, spec.channels))
-    return bank[_class_permutations(spec)[label]]
 
 
 def filter_labels(dataset: Dataset, labels) -> Dataset:

@@ -13,11 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import model
+from . import episodes, model
 from .diffcore import (NumericalError, Param, Tape, Tensor, finite_diff_gradients,
                        zero_grads)
-from .episodes import (ClipRecord, Dataset, Episode, EpisodeSpec, sample_episode,
-                       write_atomic)
+from .episodes import ClipRecord, Dataset, Episode, EpisodeSpec, sample_episode
 from .model import ModelConfig, ModelParams, build_params, forward_episode
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "mean_pool_baseline",
     "save_checkpoint",
     "load_checkpoint",
-    "write_atomic",
     "format_metrics",
     "gradcheck_model",
     "GradCheckRow",
@@ -40,6 +38,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"STCK"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<4sII")  # magic, version, parameter count
 
 # Offset between the training episode stream and the in-training eval stream.
 _EVAL_SEED_OFFSET = 1_000_003
@@ -263,43 +262,40 @@ def train(
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     plist = params.all()
-    chunks = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(plist))]
+    chunks = [_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(plist))]
     for p in plist:
         name, shape = p.name.encode("utf-8"), p.value.shape
         chunks.append(struct.pack(f"<I{len(name)}sI{len(shape)}I",
                                   len(name), name, len(shape), *shape))
         chunks.append(np.ascontiguousarray(p.value.data, dtype="<f8"))  # no copy
-    write_atomic(path, chunks)
+    episodes.write_atomic(path, chunks)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read each parameter straight into its own array, once the bytes left
-    in the file are known to hold every extent its record claims."""
+    """Read each parameter straight into its own array, refusing a non-finite
+    value, once the bytes left in the file hold every extent its record claims."""
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        (count,) = episodes._check_header(fd, path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC,
+                                          CHECKPOINT_VERSION, (CheckpointFormatError,) * 3)
+        at = _CHECKPOINT_HEADER.size
 
         def claim(n: int, what: str) -> int:
-            if n > size - fh.tell():
-                raise CheckpointFormatError(f"{path}: truncated at byte {fh.tell()} in "
-                                            f"{what}: {n} bytes claimed, {size - fh.tell()} left")
-            return n
+            nonlocal at
+            if n > size - at:
+                raise CheckpointFormatError(f"{path}: truncated at byte {at} in "
+                                            f"{what}: {n} bytes claimed, {size - at} left")
+            at += n
+            return at - n
 
-        if size < 12:
-            raise CheckpointFormatError(f"{path}: shorter than the fixed header")
-        head = fh.read(12)
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {head[:4]!r}")
-        version, count = struct.unpack_from("<II", head, 4)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(
-                f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
         for index in range(count):
             what = f"parameter #{index}"
-            (name_len,) = struct.unpack("<I", fh.read(claim(4, what)))
+            (name_len,) = struct.unpack("<I", os.pread(fd, 4, claim(4, what)))
             try:
-                name = fh.read(claim(name_len, what)).decode("utf-8")
+                name = os.pread(fd, name_len, claim(name_len, what)).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointFormatError(f"{path}: {what}: name is not UTF-8") from exc
             if name in arrays:
@@ -307,22 +303,17 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                     f"{path}: parameter {name} is repeated: records "
                     f"#{list(arrays).index(name)} and #{index}")
             what = f"parameter {name}"
-            (rank,) = struct.unpack("<I", fh.read(claim(4, what)))
-            shape = struct.unpack(f"<{rank}I", fh.read(claim(4 * rank, what)))
-            claim(8 * math.prod(shape), what)
-            values = np.empty(shape, "<f8")
-            if fh.readinto(values) != values.nbytes:
-                raise CheckpointFormatError(f"{path}: truncated in {what}")
-            arrays[name] = values.astype(np.float64, copy=False)
-        if fh.tell() != size:
-            raise CheckpointFormatError(f"{path}: {size - fh.tell()} trailing bytes")
-    for name, values in arrays.items():
-        finite = np.isfinite(values)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            raise CheckpointFormatError(
-                f"{path}: parameter {name} holds non-finite value "
-                f"{values.reshape(-1)[first]} at flat index {first}")
+            (rank,) = struct.unpack("<I", os.pread(fd, 4, claim(4, what)))
+            shape = struct.unpack(f"<{rank}I", os.pread(fd, 4 * rank, claim(4 * rank, what)))
+            arrays[name] = episodes._read_array(
+                fd, path, claim(8 * math.prod(shape), what), shape, "<f8",
+                (CheckpointFormatError,) * 2, lambda done: f"truncated in {what}",
+                lambda value, i: f"{what} holds non-finite value {value} at flat index {i}",
+            ).astype(np.float64, copy=False)
+        if at != size:
+            raise CheckpointFormatError(f"{path}: {size - at} trailing bytes")
+    finally:
+        os.close(fd)
     return arrays
 
 

@@ -16,7 +16,7 @@ from strm.episodes import (BadMagicError, ClipFormatError, ClipRecord, Dataset, 
                            EpisodeSpec, ExtentOverflowError, FeatureClip,
                            InsufficientClipsError, NonFiniteClipError, SyntheticSpec,
                            TruncatedPayloadError, VersionMismatchError,
-                           class_prototype_sequence, filter_labels, generate_synthetic,
+                           filter_labels, generate_synthetic,
                            load_clip, load_dataset, sample_episode, save_clip,
                            write_atomic, write_manifest)
 
@@ -429,6 +429,20 @@ def test_short_reads_are_resumed_and_an_early_end_is_a_truncation(tmp_path, monk
     assert str(info.value) == f"{path}: payload holds 0 of 24 floats"
 
 
+@pytest.mark.parametrize("label", [-1, 1 << 32])
+def test_save_clip_refuses_a_label_outside_u32(tmp_path, label):
+    """The header stores the label as a u32: a label outside it is refused,
+    naming the file and the label, before any file is written."""
+    path = tmp_path / "a.stfb"
+    with pytest.raises(ValueError) as info:
+        save_clip(make_clip(label=label), path)
+    assert str(info.value) == f"{path}: label {label} does not fit the file's u32 label"
+    assert list(tmp_path.iterdir()) == []
+    for kept in (0, (1 << 32) - 1):
+        save_clip(make_clip(label=kept), path)
+        assert load_clip(path).label == kept
+
+
 def replace_file(path):
     save_clip(make_clip(seed=1), path)
 
@@ -472,6 +486,13 @@ def test_a_clip_file_changed_after_load_raises_at_its_next_read(tmp_path, case):
 
 
 # -- synthetic structure -----------------------------------------------------------
+
+
+def class_prototype_sequence(spec, label):
+    """The noiseless frame sequence a class's clips are built from."""
+    bank_rng = np.random.default_rng([spec.seed, 0])
+    bank = spec.motif_strength * bank_rng.standard_normal((spec.frames, spec.channels))
+    return bank[episodes._class_permutations(spec)[label]]
 
 
 def test_zero_noise_matches_prototype_sequence():

@@ -16,7 +16,7 @@ import pytest
 from strm import cli, episodes, model, training
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
 from strm.episodes import ClipRecord, Dataset, EpisodeSpec, FeatureClip, SyntheticSpec, \
-    filter_labels, generate_synthetic, load_dataset, sample_episode, save_clip, \
+    filter_labels, generate_synthetic, load_clip, load_dataset, sample_episode, save_clip, \
     write_manifest
 from strm.matching import (embed_class_supports, enumerate_tuples, qc_similarity,
                            trm_distance, trm_logits)
@@ -366,7 +366,7 @@ def test_identical_permutation_classes_score_at_chance():
     # 3 classes over 2 frames force a permutation collision
     spec = SyntheticSpec(num_classes=3, clips_per_class=40, frames=2, patches=2,
                          channels=6, motif_strength=1.0, noise_sigma=0.3, seed=0)
-    from strm.episodes import class_prototype_sequence
+    from test_episodes import class_prototype_sequence
     protos = [class_prototype_sequence(spec, c) for c in range(3)]
     clash = next((a, b) for a in range(3) for b in range(a + 1, 3)
                  if np.array_equal(protos[a], protos[b]))
@@ -922,6 +922,60 @@ def test_checkpoint_with_a_repeated_name_is_refused(tmp_path):
                rf"is repeated: records #1 and #{len(plist)}$")
     with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(path)
+
+
+def test_checkpoint_short_reads_are_resumed_and_an_early_end_is_a_truncation(
+        tmp_path, monkeypatch):
+    """As for clips: a read returning fewer bytes than asked is resumed from
+    where it stopped, and a read that ends early (the file shrank after its
+    size was checked) raises, naming the parameter."""
+    params = build_params(ModelConfig(seed=0, **TINY))
+    path = tmp_path / "m.stck"
+    save_checkpoint(params, path)
+    preadv = os.preadv
+    cap = [40]
+
+    def short_preadv(fd, buffers, offset):
+        view = memoryview(buffers[0]).cast("B")
+        return preadv(fd, [view[:cap[0]]], offset)
+
+    monkeypatch.setattr(os, "preadv", short_preadv)
+    arrays = load_checkpoint(path)
+    for p in params.all():
+        assert arrays[p.name].tobytes() == p.value.data.tobytes()
+    cap[0] = 0
+    with pytest.raises(CheckpointFormatError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: truncated in parameter {params.all()[0].name}"
+
+
+def test_clips_and_checkpoints_share_one_reader(tmp_path, monkeypatch):
+    """load_clip, a loaded clip's payload re-read and load_checkpoint read
+    their values through one array reader, and check their fixed headers
+    with one function; a re-read checks the file's identity, not its header."""
+    calls = collections.Counter()
+
+    def spy(name):
+        shared = getattr(episodes, name)
+
+        def counting(fd, path, *args):
+            calls[name, os.path.basename(path)] += 1
+            return shared(fd, path, *args)
+
+        monkeypatch.setattr(episodes, name, counting)
+
+    spy("_read_array")
+    spy("_check_header")
+    save_clip(ClipRecord("a", 0, FeatureClip(np.ones((2, 2, 2)))), tmp_path / "a.stfb")
+    clip = load_clip(tmp_path / "a.stfb").features
+    assert calls == {("_read_array", "a.stfb"): 1, ("_check_header", "a.stfb"): 1}
+    clip.payload
+    assert calls == {("_read_array", "a.stfb"): 2, ("_check_header", "a.stfb"): 1}
+    params = build_params(ModelConfig(seed=0, **TINY))
+    save_checkpoint(params, tmp_path / "m.stck")
+    load_checkpoint(tmp_path / "m.stck")
+    assert calls[("_read_array", "m.stck")] == len(params.all())
+    assert calls[("_check_header", "m.stck")] == 1
 
 
 # Eval-wide sizes: 4.85 MB of parameters, the largest 0.52 MB.
