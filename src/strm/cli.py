@@ -106,6 +106,16 @@ def _episode_spec(args, seed: int) -> EpisodeSpec:
                        queries_per_class=args.queries, seed=seed)
 
 
+def _model_config(args, frames: int, patches: int, channels: int, **rest) -> ModelConfig:
+    """The model config from the data extents, the model flags every
+    model-building command shares (--refine-hidden, --embed-dim, --code-dim,
+    --omega, --lambda, --seed) and `rest`, further ModelConfig fields."""
+    return ModelConfig(frames=frames, patches=patches, channels=channels,
+                       refine_hidden=args.refine_hidden, embed_dim=args.embed_dim,
+                       code_dim=args.code_dim, omegas=_parse_omegas(args.omega),
+                       qc_weight=args.qc_weight, seed=args.seed, **rest)
+
+
 def _train_inputs(args, eval_every: int, eval_episodes: int):
     """What train and ablate both start from: the training dataset, the eval
     dataset (--eval-data, else --data, filtered by --eval-labels), and the
@@ -114,22 +124,10 @@ def _train_inputs(args, eval_every: int, eval_episodes: int):
     eval_dataset = (_load_filtered(args.eval_data or args.data, args.eval_labels,
                                    "--eval-labels")
                     if args.eval_data or args.eval_labels else dataset)
-    config = ModelConfig(
-        frames=dataset.frames,
-        patches=dataset.patches,
-        channels=dataset.channels,
-        refine_hidden=args.refine_hidden,
-        embed_dim=args.embed_dim,
-        code_dim=args.code_dim,
-        omegas=_parse_omegas(args.omega),
-        qc_weight=args.qc_weight,
-        use_ple=not args.no_ple,
-        use_fle=not args.no_fle,
-        use_qc=not args.no_qc,
-        tuple_keep_ratio=args.keep_ratio,
-        tuple_seed=args.tuple_seed,
-        seed=args.seed,
-    )
+    config = _model_config(args, dataset.frames, dataset.patches, dataset.channels,
+                           use_ple=not args.no_ple, use_fle=not args.no_fle,
+                           use_qc=not args.no_qc, tuple_keep_ratio=args.keep_ratio,
+                           tuple_seed=args.tuple_seed)
     train_config = TrainConfig(
         episodes=args.episodes,
         learning_rate=args.lr,
@@ -218,19 +216,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    omegas = _parse_omegas(args.omega)
-    config = ModelConfig(
-        frames=args.frames,
-        patches=args.patches * args.patches,
-        channels=args.dim,
-        refine_hidden=args.refine_hidden,
-        embed_dim=args.embed_dim,
-        code_dim=args.code_dim,
-        omegas=omegas,
-        qc_weight=args.qc_weight,
-        use_qc=args.qc_weight > 0.0,
-        seed=args.seed,
-    )
+    config = _model_config(args, args.frames, args.patches * args.patches, args.dim,
+                           use_qc=args.qc_weight > 0.0)
     params = build_params(config)
     total = sum(p.value.size for p in params.all())
     if total > _GRADCHECK_PARAM_CAP:

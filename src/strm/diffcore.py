@@ -154,7 +154,32 @@ class Param:
 
 
 class ParamGroup:
-    """Base of the dataclasses that group one stage's Params as fields."""
+    """Base of the dataclasses that group one stage's Params as fields.
+
+    Under a prefix p, field f holds the Param named `p.f`: its checkpoint
+    record name and its seed key. A subclass's static `shapes` gives each
+    field's [fan_in x fan_out] extent in field order, for building and checks.
+    """
+
+    @classmethod
+    def names(cls, prefix: str) -> list[str]:
+        return [f"{prefix}.{f.name}" for f in fields(cls)]
+
+    @classmethod
+    def build(cls, prefix: str, shapes: Sequence[tuple[int, int]], seed_for):
+        """Fresh Params of the given extents, each from seeded_init under the
+        seed seed_for(its name)."""
+        return cls(*(Param(name, seeded_init(shape, *shape, seed_for(name)))
+                     for name, shape in zip(cls.names(prefix), shapes, strict=True)))
+
+    @classmethod
+    def load(cls, prefix: str, arrays: dict[str, np.ndarray]):
+        """Params holding the arrays of the group's names."""
+        names = cls.names(prefix)
+        for name in names:
+            if name not in arrays:
+                raise KeyError(f"missing parameter {name}")
+        return cls(*(Param(name, Tensor(arrays[name])) for name in names))
 
     def all(self) -> list[Param]:
         """Every Param, in field order (the order a checkpoint stores them)."""

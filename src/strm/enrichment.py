@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Param, ParamGroup, ShapeError, Tape, Tensor, seeded_init
+from .diffcore import Param, ParamGroup, ShapeError, Tape, Tensor
 
 __all__ = [
     "PLEParams",
@@ -41,12 +41,17 @@ class PLEParams(ParamGroup):
     """Weights for patch-level enrichment: attention projections plus a
     three-layer pointwise refiner (no biases anywhere)."""
 
-    query_proj: Param  # D x D
-    key_proj: Param  # D x D
-    value_proj: Param  # D x D
-    refine1: Param  # D x hidden
-    refine2: Param  # hidden x hidden
-    refine3: Param  # hidden x D
+    query_proj: Param
+    key_proj: Param
+    value_proj: Param
+    refine1: Param
+    refine2: Param
+    refine3: Param
+
+    @staticmethod
+    def shapes(channels: int, hidden: int) -> list[tuple[int, int]]:
+        d, h = channels, hidden
+        return [(d, d), (d, d), (d, d), (d, h), (h, h), (h, d)]
 
     @property
     def channels(self) -> int:
@@ -58,10 +63,14 @@ class FLEParams(ParamGroup):
     """Weights for frame-level enrichment: two frame-mixing matrices shared
     across channels, then two channel-mixing matrices shared across frames."""
 
-    token_mix1: Param  # L x L
-    token_mix2: Param  # L x L
-    channel_mix1: Param  # D x D
-    channel_mix2: Param  # D x D
+    token_mix1: Param
+    token_mix2: Param
+    channel_mix1: Param
+    channel_mix2: Param
+
+    @staticmethod
+    def shapes(frames: int, channels: int) -> list[tuple[int, int]]:
+        return [(frames, frames)] * 2 + [(channels, channels)] * 2
 
     @property
     def frames(self) -> int:
@@ -72,32 +81,16 @@ class FLEParams(ParamGroup):
         return self.channel_mix1.value.shape[0]
 
 
-def _glorot(name: str, rows: int, cols: int, seed_key) -> Param:
-    return Param(name, seeded_init((rows, cols), rows, cols, seed_key))
-
-
 def init_ple_params(channels: int, hidden: int, seed_for) -> PLEParams:
     """Build freshly initialized patch-enrichment weights.
 
     `seed_for(name)` maps a parameter name to a deterministic seed.
     """
-    return PLEParams(
-        query_proj=_glorot("ple.query_proj", channels, channels, seed_for("ple.query_proj")),
-        key_proj=_glorot("ple.key_proj", channels, channels, seed_for("ple.key_proj")),
-        value_proj=_glorot("ple.value_proj", channels, channels, seed_for("ple.value_proj")),
-        refine1=_glorot("ple.refine1", channels, hidden, seed_for("ple.refine1")),
-        refine2=_glorot("ple.refine2", hidden, hidden, seed_for("ple.refine2")),
-        refine3=_glorot("ple.refine3", hidden, channels, seed_for("ple.refine3")),
-    )
+    return PLEParams.build("ple", PLEParams.shapes(channels, hidden), seed_for)
 
 
 def init_fle_params(frames: int, channels: int, seed_for) -> FLEParams:
-    return FLEParams(
-        token_mix1=_glorot("fle.token_mix1", frames, frames, seed_for("fle.token_mix1")),
-        token_mix2=_glorot("fle.token_mix2", frames, frames, seed_for("fle.token_mix2")),
-        channel_mix1=_glorot("fle.channel_mix1", channels, channels, seed_for("fle.channel_mix1")),
-        channel_mix2=_glorot("fle.channel_mix2", channels, channels, seed_for("fle.channel_mix2")),
-    )
+    return FLEParams.build("fle", FLEParams.shapes(frames, channels), seed_for)
 
 
 def ple_folds(tape: Tape, params: PLEParams) -> tuple[Tensor, Tensor]:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Param, ParamGroup, ShapeError, Tape, Tensor, seeded_init
+from .diffcore import Param, ParamGroup, ShapeError, Tape, Tensor
 
 __all__ = [
     "TupleIndex",
@@ -49,40 +49,32 @@ class TupleEmbedParams(ParamGroup):
     """Key/value projections from concatenated tuple features, one pair per
     tuple cardinality."""
 
-    key_proj: Param  # (omega * D) x embed_dim
-    value_proj: Param  # (omega * D) x embed_dim
+    key_proj: Param
+    value_proj: Param
 
-    @property
-    def embed_dim(self) -> int:
-        return self.key_proj.value.shape[1]
+    @staticmethod
+    def shapes(omega: int, channels: int, embed_dim: int) -> list[tuple[int, int]]:
+        return [(omega * channels, embed_dim)] * 2
 
 
 @dataclass
 class QCParams(ParamGroup):
     """Projection of concatenated tuple features to ReLU codes, per cardinality."""
 
-    class_proj: Param  # (omega * D) x code_dim
+    class_proj: Param
+
+    @staticmethod
+    def shapes(omega: int, channels: int, code_dim: int) -> list[tuple[int, int]]:
+        return [(omega * channels, code_dim)]
 
 
 def init_trm_params(omega: int, channels: int, embed_dim: int, seed_for) -> TupleEmbedParams:
-    rows = omega * channels
-    return TupleEmbedParams(
-        key_proj=Param(f"trm.{omega}.key_proj",
-                       seeded_init((rows, embed_dim), rows, embed_dim,
-                                   seed_for(f"trm.{omega}.key_proj"))),
-        value_proj=Param(f"trm.{omega}.value_proj",
-                         seeded_init((rows, embed_dim), rows, embed_dim,
-                                     seed_for(f"trm.{omega}.value_proj"))),
-    )
+    shapes = TupleEmbedParams.shapes(omega, channels, embed_dim)
+    return TupleEmbedParams.build(f"trm.{omega}", shapes, seed_for)
 
 
 def init_qc_params(omega: int, channels: int, code_dim: int, seed_for) -> QCParams:
-    rows = omega * channels
-    return QCParams(
-        class_proj=Param(f"qc.{omega}.class_proj",
-                         seeded_init((rows, code_dim), rows, code_dim,
-                                     seed_for(f"qc.{omega}.class_proj"))),
-    )
+    return QCParams.build(f"qc.{omega}", QCParams.shapes(omega, channels, code_dim), seed_for)
 
 
 def enumerate_tuples(frames: int, omegas: Sequence[int]) -> list[TupleIndex]:

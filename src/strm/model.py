@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -135,22 +135,14 @@ def build_params(config: ModelConfig) -> ModelParams:
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> ModelParams:
     """Rebuild grouped parameters from named tensors (e.g. a checkpoint)."""
 
-    def take(name: str) -> Param:
-        if name not in arrays:
-            raise KeyError(f"missing parameter {name}")
-        return Param(name, Tensor(arrays[name]))
-
-    def group(cls, prefix: str):
-        return cls(*(take(f"{prefix}.{f.name}") for f in fields(cls)))
-
     def omegas(head: str) -> list[int]:
         return sorted({int(parts[1]) for parts in (n.split(".") for n in arrays)
                        if parts[0] == head and len(parts) == 3 and parts[1].isdecimal()})
 
-    ple = group(PLEParams, "ple") if any(n.startswith("ple.") for n in arrays) else None
-    fle = group(FLEParams, "fle") if any(n.startswith("fle.") for n in arrays) else None
-    trm = {omega: group(TupleEmbedParams, f"trm.{omega}") for omega in omegas("trm")}
-    qc = {omega: group(QCParams, f"qc.{omega}") for omega in omegas("qc")}
+    ple = PLEParams.load("ple", arrays) if any(n.startswith("ple.") for n in arrays) else None
+    fle = FLEParams.load("fle", arrays) if any(n.startswith("fle.") for n in arrays) else None
+    trm = {omega: TupleEmbedParams.load(f"trm.{omega}", arrays) for omega in omegas("trm")}
+    qc = {omega: QCParams.load(f"qc.{omega}", arrays) for omega in omegas("qc")}
     params = ModelParams(ple=ple, fle=fle, trm=trm, qc=qc)
     placed = {p.name for p in params.all()}
     for name in arrays:
@@ -172,7 +164,7 @@ def infer_config(params: ModelParams, frames: int, patches: int,
         patches=patches,
         channels=channels,
         refine_hidden=(params.ple.refine1.value.shape[1] if params.ple else 1),
-        embed_dim=first.embed_dim,
+        embed_dim=first.key_proj.value.shape[1],
         code_dim=(params.qc[omegas[0]].class_proj.value.shape[1] if params.qc else 1),
         omegas=omegas,
         use_ple=params.ple is not None,
@@ -183,24 +175,25 @@ def infer_config(params: ModelParams, frames: int, patches: int,
 
 
 def validate_against(params: ModelParams, config: ModelConfig) -> None:
-    """Reject parameter/config extent disagreements with a clear message."""
-    checks: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-    if params.ple is not None:
-        checks.append(("ple.query_proj", params.ple.query_proj.value.shape,
-                       (config.channels, config.channels)))
-    if params.fle is not None:
-        checks.append(("fle.token_mix1", params.fle.token_mix1.value.shape,
-                       (config.frames, config.frames)))
-        checks.append(("fle.channel_mix1", params.fle.channel_mix1.value.shape,
-                       (config.channels, config.channels)))
+    """Refuse parameters that disagree with the config, naming the first one:
+    every parameter the config's scoring reads is checked against the shapes
+    its group declares."""
     for omega in config.omegas:
         if omega not in params.trm:
             raise ShapeError(f"parameters lack tuple cardinality {omega}")
-        checks.append((f"trm.{omega}.key_proj", params.trm[omega].key_proj.value.shape,
-                       (omega * config.channels, config.embed_dim)))
-    for name, got, want in checks:
-        if got != want:
-            raise ShapeError(f"{name}: extent mismatch, checkpoint {got} vs config {want}")
+    d = config.channels
+    read = [(params.ple, PLEParams.shapes(d, config.refine_hidden)),
+            (params.fle, FLEParams.shapes(config.frames, d))]
+    read += [(params.trm[w], TupleEmbedParams.shapes(w, d, config.embed_dim))
+             for w in config.omegas]
+    if config.use_qc:
+        read += [(params.qc[w], QCParams.shapes(w, d, config.code_dim))
+                 for w in config.omegas if w in params.qc]
+    for group, shapes in read:
+        for p, want in zip(group.all() if group else (), shapes):
+            if p.value.shape != want:
+                raise ShapeError(
+                    f"{p.name}: extent mismatch, checkpoint {p.value.shape} vs config {want}")
 
 
 @dataclass

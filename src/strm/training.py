@@ -291,11 +291,18 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             at += n
             return at - n
 
+        def take(n: int, what: str) -> bytes:
+            data = os.pread(fd, n, claim(n, what))
+            if len(data) < n:
+                raise CheckpointFormatError(f"{path}: truncated in {what}: "
+                                            f"{len(data)} of {n} bytes read")
+            return data
+
         for index in range(count):
             what = f"parameter #{index}"
-            (name_len,) = struct.unpack("<I", os.pread(fd, 4, claim(4, what)))
+            (name_len,) = struct.unpack("<I", take(4, what))
             try:
-                name = os.pread(fd, name_len, claim(name_len, what)).decode("utf-8")
+                name = take(name_len, what).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointFormatError(f"{path}: {what}: name is not UTF-8") from exc
             if name in arrays:
@@ -303,8 +310,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                     f"{path}: parameter {name} is repeated: records "
                     f"#{list(arrays).index(name)} and #{index}")
             what = f"parameter {name}"
-            (rank,) = struct.unpack("<I", os.pread(fd, 4, claim(4, what)))
-            shape = struct.unpack(f"<{rank}I", os.pread(fd, 4 * rank, claim(4 * rank, what)))
+            (rank,) = struct.unpack("<I", take(4, what))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank, what))
             arrays[name] = episodes._read_array(
                 fd, path, claim(8 * math.prod(shape), what), shape, "<f8",
                 (CheckpointFormatError,) * 2, lambda done: f"truncated in {what}",

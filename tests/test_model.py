@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from strm import enrichment, episodes, matching, model
-from strm.diffcore import ShapeError, Tape, Tensor, finite_diff_gradients, zero_grads
+from strm.diffcore import (ShapeError, Tape, Tensor, finite_diff_gradients, seeded_init,
+                           zero_grads)
 from strm.enrichment import fle_forward, ple_forward
 from strm.episodes import (Episode, EpisodeSpec, SyntheticSpec, generate_synthetic,
                            load_dataset, sample_episode, save_clip, write_manifest)
@@ -101,6 +102,53 @@ def test_validate_against_flags_extent_mismatch():
     wrong = ModelConfig(channels=32, seed=0)
     with pytest.raises(Exception, match="mismatch"):
         validate_against(params, wrong)
+
+
+OMEGA23 = ModelConfig(omegas=(2, 3), seed=4)
+
+
+@pytest.mark.parametrize("name", [p.name for p in build_params(OMEGA23).all()])
+def test_validate_against_names_every_mis_shaped_parameter(name):
+    """Each parameter the config's scoring reads is checked, not only the
+    first of each group: one extra row in any of them is refused by name."""
+    arrays = {p.name: p.value.data for p in build_params(OMEGA23).all()}
+    rows, cols = arrays[name].shape
+    arrays[name] = np.zeros((rows + 1, cols))
+    with pytest.raises(ShapeError, match=rf"^{re.escape(name)}: extent mismatch, "
+                       rf"checkpoint \({rows + 1}, {cols}\) vs config \({rows}, {cols}\)$"):
+        validate_against(params_from_arrays(arrays), OMEGA23)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("channels", "ple.query_proj: extent mismatch, checkpoint (64, 64) vs config (32, 32)"),
+    ("frames", "fle.token_mix1: extent mismatch, checkpoint (8, 8) vs config (6, 6)"),
+])
+def test_validate_against_refuses_a_channel_or_frame_mismatch_as_before(field, message):
+    params = build_params(ModelConfig(seed=0))
+    wrong = ModelConfig(seed=0, **{field: {"channels": 32, "frames": 6}[field]})
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        validate_against(params, wrong)
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(seed=3), OMEGA23,
+                                 ModelConfig(use_ple=False, use_fle=False, use_qc=False)])
+def test_each_parameter_is_seeded_by_its_own_name(monkeypatch, cfg):
+    """build_params asks seed_for for each parameter's own name, once, in
+    the order a checkpoint stores them, and draws its values from that seed."""
+    seed_for = model._seed_for(cfg.seed)
+    asked = []
+
+    def spy(config_seed):
+        assert config_seed == cfg.seed
+        return lambda name: asked.append(name) or seed_for(name)
+
+    monkeypatch.setattr(model, "_seed_for", spy)
+    params = build_params(cfg).all()
+    assert asked == [p.name for p in params]
+    for p in params:
+        rows, cols = p.value.shape
+        drawn = seeded_init((rows, cols), rows, cols, seed_for(p.name)).data
+        assert p.value.data.tobytes() == drawn.tobytes(), p.name
 
 
 def test_enrich_clips_matches_enrich_clip():

@@ -949,6 +949,25 @@ def test_checkpoint_short_reads_are_resumed_and_an_early_end_is_a_truncation(
     assert str(info.value) == f"{path}: truncated in parameter {params.all()[0].name}"
 
 
+@pytest.mark.parametrize("field", ["name length", "name"])
+def test_a_short_read_of_a_record_field_is_a_truncation(tmp_path, monkeypatch, field):
+    """A record field whose read ends early (the file shrank after its size
+    was checked) is refused naming the file and the parameter: neither a bare
+    struct error from a short u32 nor a load under a cut-off name."""
+    path = tmp_path / "m.stck"
+    save_checkpoint(build_params(ModelConfig(seed=0, **TINY)), path)
+    at = training._CHECKPOINT_HEADER.size + (4 if field == "name" else 0)
+    pread = os.pread
+
+    def short_pread(fd, n, offset):
+        return pread(fd, n, offset)[:n - 1] if offset == at else pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", short_pread)
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"^{re.escape(str(path))}: truncated in parameter #0: "):
+        load_checkpoint(path)
+
+
 def test_clips_and_checkpoints_share_one_reader(tmp_path, monkeypatch):
     """load_clip, a loaded clip's payload re-read and load_checkpoint read
     their values through one array reader, and check their fixed headers
