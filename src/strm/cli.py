@@ -26,8 +26,7 @@ from .episodes import (ClipFormatError, Dataset, EpisodeSpec, SyntheticSpec,
                        filter_labels, generate_synthetic, load_clip,
                        load_dataset, sample_episode, save_clip, write_atomic, write_manifest)
 from .matching import tuple_count
-from .model import (ModelConfig, build_params, infer_config, params_from_arrays,
-                    validate_against)
+from .model import ModelConfig, build_params, infer_config, params_from_arrays
 from .training import (CheckpointFormatError, TrainConfig, evaluate,
                        gradcheck_model, format_metrics, load_checkpoint,
                        run_ablation, save_checkpoint, train)
@@ -76,8 +75,10 @@ def _parse_labels(text: str, flag: str) -> list[int]:
         for part in text.split(","):
             part = part.strip()
             if "-" in part:
-                lo, hi = part.split("-")
-                labels.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(end) for end in part.split("-"))
+                if lo > hi:
+                    raise ValueError(f"reversed range {part}")
+                labels.extend(range(lo, hi + 1))
             elif part:
                 labels.append(int(part))
     except ValueError:
@@ -197,7 +198,6 @@ def cmd_eval(args) -> int:
     config = infer_config(params, frames=dataset.frames, patches=dataset.patches,
                           channels=dataset.channels, tuple_keep_ratio=args.keep_ratio,
                           tuple_seed=args.tuple_seed)
-    validate_against(params, config)
     report = evaluate(dataset, params, config, _episode_spec(args, args.seed),
                       args.episodes)
     print(f"accuracy {report.accuracy:.4f} +/- {report.ci95_halfwidth:.4f} "

@@ -37,11 +37,11 @@ __all__ = [
 
 @dataclass
 class ModelConfig:
-    """All model extents, toggles, and seeds.
-
-    Defaults are desk scale; the full-scale configuration (channels=2048,
-    refine_hidden=1024, embed_dim=1152, code_dim=1024, patches=16) remains
-    expressible.
+    """All model extents, toggles, and seeds. The toggles use_ple, use_fle
+    and use_qc alone decide which stages score: parameters must hold every
+    group they enable, and a group they disable is not read. Defaults are
+    desk scale; paper scale (channels=2048, refine_hidden=1024,
+    embed_dim=1152, code_dim=1024, patches=16) remains expressible.
     """
 
     frames: int = 8
@@ -91,7 +91,7 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Every learnable weight, grouped; disabled stages own no parameters."""
+    """Every learnable weight, grouped; build_params gives a disabled stage none."""
 
     ple: PLEParams | None
     fle: FLEParams | None
@@ -99,16 +99,9 @@ class ModelParams:
     qc: dict[int, QCParams]
 
     def all(self) -> list[Param]:
-        out: list[Param] = []
-        if self.ple is not None:
-            out.extend(self.ple.all())
-        if self.fle is not None:
-            out.extend(self.fle.all())
-        for omega in sorted(self.trm):
-            out.extend(self.trm[omega].all())
-        for omega in sorted(self.qc):
-            out.extend(self.qc[omega].all())
-        return out
+        groups = [self.ple, self.fle, *(self.trm[w] for w in sorted(self.trm)),
+                  *(self.qc[w] for w in sorted(self.qc))]
+        return [p for group in groups if group is not None for p in group.all()]
 
 
 def _seed_for(config_seed: int):
@@ -175,22 +168,21 @@ def infer_config(params: ModelParams, frames: int, patches: int,
 
 
 def validate_against(params: ModelParams, config: ModelConfig) -> None:
-    """Refuse parameters that disagree with the config, naming the first one:
-    every parameter the config's scoring reads is checked against the shapes
-    its group declares."""
-    for omega in config.omegas:
-        if omega not in params.trm:
-            raise ShapeError(f"parameters lack tuple cardinality {omega}")
-    d = config.channels
-    read = [(params.ple, PLEParams.shapes(d, config.refine_hidden)),
-            (params.fle, FLEParams.shapes(config.frames, d))]
-    read += [(params.trm[w], TupleEmbedParams.shapes(w, d, config.embed_dim))
-             for w in config.omegas]
-    if config.use_qc:
-        read += [(params.qc[w], QCParams.shapes(w, d, config.code_dim))
-                 for w in config.omegas if w in params.qc]
-    for group, shapes in read:
-        for p, want in zip(group.all() if group else (), shapes):
+    """Refuse parameters that disagree with the config, naming the first
+    group or parameter at fault: each group the config scores with, in
+    ModelParams.all() order, must be present and every parameter in it must
+    have the shape its group declares."""
+    d, omegas = config.channels, config.omegas
+    read = ([("ple", params.ple, PLEParams.shapes(d, config.refine_hidden))] * config.use_ple
+            + [("fle", params.fle, FLEParams.shapes(config.frames, d))] * config.use_fle
+            + [(f"trm.{w}", params.trm.get(w), TupleEmbedParams.shapes(w, d, config.embed_dim))
+               for w in omegas]
+            + [(f"qc.{w}", params.qc.get(w), QCParams.shapes(w, d, config.code_dim))
+               for w in omegas if config.use_qc])
+    for name, group, shapes in read:
+        if group is None:
+            raise ShapeError(f"parameters lack {name}, which the config scores with")
+        for p, want in zip(group.all(), shapes):
             if p.value.shape != want:
                 raise ShapeError(
                     f"{p.name}: extent mismatch, checkpoint {p.value.shape} vs config {want}")
@@ -243,7 +235,7 @@ def enrich_block(tape: Tape, clips: Sequence[FeatureClip], params: ModelParams,
                 f"first clip {clips[0].shape}")
     n = len(clips)
     per_group = max(1, ENRICH_GROUP_BYTES // (8 * math.prod(clips[0].shape)))
-    folds = None if params.ple is None else enrichment.ple_folds(tape, params.ple)
+    folds = enrichment.ple_folds(tape, params.ple) if config.use_ple else None
 
     def pool(group: Sequence[FeatureClip]) -> Tensor:
         block = Tensor(np.concatenate([clip.payload for clip in group], axis=0,
@@ -254,7 +246,7 @@ def enrich_block(tape: Tape, clips: Sequence[FeatureClip], params: ModelParams,
 
     parts = [pool(clips[i:i + per_group]) for i in range(0, n, per_group)]
     pooled = parts[0] if len(parts) == 1 else tape.concat(parts)
-    if params.fle is None:
+    if not config.use_fle:
         return pooled, pooled
     enriched = enrichment.fle_forward_batch(
         tape, tape.reshape(pooled, (n, config.frames, config.channels)), params.fle)
@@ -312,15 +304,17 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
                   config: ModelConfig) -> tuple[Tensor, Tensor | None]:
     """Logits of every query against every class, each [queries x classes]:
     matching logits on the enriched frames, and similarity logits on the
-    pooled frames (None unless the head is on in both params and config).
+    pooled frames (None unless the config's similarity head is on).
 
-    The episode is enriched as one block by enrich_block, which reads the
-    clips' payloads a group at a time, and scored by score_rows. Unless the
-    similarity head is scored, the pooled rows are dropped before matching.
+    validate_against checks the pair before any clip is read. The episode is
+    enriched as one block by enrich_block, which reads the clips' payloads a
+    group at a time, and scored by score_rows. Unless the similarity head is
+    scored, the pooled rows are dropped before matching.
     """
+    validate_against(params, config)
     shots, records = episode_clips(episode)
     pooled, enriched = enrich_block(tape, [rec.features for rec in records], params, config)
-    if not (params.qc and config.use_qc):
+    if not config.use_qc:
         del pooled
         return score_rows(tape, enriched, shots, params, config), None
     return (score_rows(tape, enriched, shots, params, config),

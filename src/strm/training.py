@@ -60,6 +60,9 @@ class TrainConfig:
         for name in ("episodes", "accumulate_every", "eval_every", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
 
 
 @dataclass
@@ -107,7 +110,8 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
     """Accuracy of matching-head predictions over freshly sampled episodes.
 
     Predictions use the matching logits only; ties resolve to the lowest
-    class index. The half-width is taken over all scored queries.
+    class index. The half-width is taken over all scored queries. The pair
+    is checked by model.validate_against before any episode is sampled.
 
     The call samples its episodes first into int32 tables of cache slots
     [episodes x clips] and ways [episodes x queries] (one spec, one layout),
@@ -118,6 +122,7 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
     the call, as training changes the parameters between calls); a
     one-episode call scores views of them.
     """
+    model.validate_against(params, config)
     if n_episodes < 1:
         raise ValueError(f"need at least 1 eval episode, got {n_episodes}")
     slots: dict[int, int] = {}  # id(record) -> the record's clip in the cache

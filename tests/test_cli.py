@@ -337,6 +337,21 @@ def test_eval_extent_mismatch_rejected(tmp_path, tiny_data, capsys):
     assert "ple.query_proj: extent mismatch" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_checkpoint_lacking_a_group_it_enables(tmp_path, tiny_data, capsys):
+    """A checkpoint whose similarity head lacks one of its cardinalities is
+    refused by name with exit 2, not scored up to a bare KeyError."""
+    params = build_params(ModelConfig(frames=4, patches=4, channels=8, refine_hidden=4,
+                                      embed_dim=6, code_dim=4, omegas=(2, 3), seed=0))
+    del params.qc[3]
+    bad = tmp_path / "no_qc3.stck"
+    save_checkpoint(params, bad)
+    code = run(["eval", "--data", str(tiny_data), "--checkpoint", str(bad),
+                "--episodes", "4", "--ways", "2", "--shots", "1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "strm: parameters lack qc.3, which the config scores with\n"
+
+
 def test_eval_zero_episodes_exits_2_naming_the_count(tiny_data, tiny_checkpoint, capsys):
     assert run(["eval", "--data", str(tiny_data), "--checkpoint", str(tiny_checkpoint),
                 "--episodes", "0", "--ways", "2", "--shots", "1"]) == EXIT_USAGE
@@ -353,12 +368,23 @@ def test_ablate_zero_eval_episodes_exits_2_before_training(tmp_path, tiny_data, 
 
 
 @pytest.mark.parametrize("flag,value", [("--labels", "a"), ("--eval-labels", "9-"),
-                                        ("--labels", "1-2-3"), ("--eval-labels", ",")])
+                                        ("--labels", "1-2-3"), ("--eval-labels", ","),
+                                        ("--labels", "5-3,7")])
 def test_label_errors_name_the_flag(tmp_path, tiny_data, capsys, flag, value):
     assert run(["train", "--data", str(tiny_data), "--out", str(tmp_path / "t"),
                 flag, value]) == EXIT_USAGE
     assert capsys.readouterr().err == \
         f"strm: bad {flag} value {value!r}, expected e.g. 0-9 or 3,5,7\n"
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-0.5"])
+def test_train_refuses_a_bad_learning_rate_before_writing(tmp_path, tiny_data, capsys, rate):
+    out = tmp_path / "t"
+    assert run(["train", "--data", str(tiny_data), "--out", str(out),
+                "--lr", rate]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"strm: learning_rate must be finite and nonnegative, got {float(rate)}\n"
+    assert not out.exists()
 
 
 def test_train_eval_labels_filter_the_eval_split(tmp_path, tiny_data, monkeypatch):

@@ -20,6 +20,7 @@ from strm.episodes import (Episode, EpisodeSpec, SyntheticSpec, generate_synthet
 from strm.matching import qc_logits, trm_logits
 from strm.model import (ModelConfig, build_params, enrich_clips, forward_episode,
                         params_from_arrays, score_episode, validate_against)
+from strm.training import evaluate
 
 from test_diffcore import l2_norm
 
@@ -128,6 +129,56 @@ def test_validate_against_refuses_a_channel_or_frame_mismatch_as_before(field, m
     wrong = ModelConfig(seed=0, **{field: {"channels": 32, "frames": 6}[field]})
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         validate_against(params, wrong)
+
+
+@pytest.mark.parametrize("off", [dict(use_ple=False, use_fle=False), dict(use_ple=False),
+                                 dict(use_fle=False), dict(use_qc=False)])
+def test_the_config_alone_switches_each_stage(off):
+    """Full parameters scored under a config with stages off give, bit for
+    bit, the loss and logits of the parameters built for that config: a
+    stage the config disables is not read, whatever the parameters hold.
+    Seeds are keyed by name, so the other groups are identical."""
+    cfg = ModelConfig(seed=2)
+    switched = replace(cfg, **off)
+    episode, full = desk_episode(cfg), build_params(cfg)
+    got = forward_episode(Tape(), episode, full, switched)
+    want = forward_episode(Tape(), episode, build_params(switched), switched)
+    assert got.loss.data.tobytes() == want.loss.data.tobytes()
+    assert got.trm_logits.tobytes() == want.trm_logits.tobytes()
+    assert (got.qc_logits is None) == (want.qc_logits is None) == (not switched.use_qc)
+    if want.qc_logits is not None:
+        assert got.qc_logits.tobytes() == want.qc_logits.tobytes()
+    assert got.loss.item() != forward_episode(Tape(), episode, full, cfg).loss.item()
+
+
+@pytest.mark.parametrize("entry", ["validate_against", "forward_episode", "evaluate"])
+@pytest.mark.parametrize("group", ["ple", "fle", "trm.3", "qc.3"])
+def test_a_group_the_config_enables_is_refused_by_name_before_any_clip_is_read(
+        tmp_path, monkeypatch, group, entry):
+    """Parameters lacking a group the config scores with are refused by
+    every entry to scoring with a ShapeError naming the group, before any
+    clip is read (not a bare KeyError from inside matching)."""
+    params = params_from_arrays({p.name: p.value.data for p in build_params(OMEGA23).all()
+                                 if not p.name.startswith(f"{group}.")})
+    rows = []
+    for record in generate_synthetic(SyntheticSpec(num_classes=2, clips_per_class=2,
+                                                   seed=1)).clips:
+        save_clip(record, tmp_path / f"{record.clip_id}.stfb")
+        rows.append((f"{record.clip_id}.stfb", record.label))
+    write_manifest(rows, tmp_path / "manifest.tsv")
+    dataset = load_dataset(tmp_path / "manifest.tsv")
+    spec = EpisodeSpec(ways=2, shots=1, seed=0)
+    reads, read_array = [], episodes._read_array
+    monkeypatch.setattr(episodes, "_read_array",
+                        lambda *args: reads.append(args[1]) or read_array(*args))
+    call = {"validate_against": lambda: validate_against(params, OMEGA23),
+            "forward_episode": lambda: forward_episode(
+                Tape(), sample_episode(dataset, spec, 0), params, OMEGA23),
+            "evaluate": lambda: evaluate(dataset, params, OMEGA23, spec, 2)}[entry]
+    with pytest.raises(ShapeError, match=rf"^parameters lack {re.escape(group)}, "
+                       "which the config scores with$"):
+        call()
+    assert reads == []
 
 
 @pytest.mark.parametrize("cfg", [ModelConfig(seed=3), OMEGA23,

@@ -210,6 +210,14 @@ def test_disabled_toggles_remove_parameters():
 # -- training loop ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -0.1])
+def test_train_config_refuses_a_non_finite_or_negative_learning_rate(rate):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"learning_rate must be finite and nonnegative, got {rate}") + "$"):
+        TrainConfig(learning_rate=rate)
+    assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
+
+
 def test_zero_learning_rate_flat_accuracy_trace():
     ds = tiny_dataset(num_classes=4, clips=4)
     cfg = ModelConfig(seed=0, **TINY)
