@@ -212,9 +212,11 @@ def enrich_block(tape: Tape, clips: Sequence[FeatureClip], params: ModelParams,
                  config: ModelConfig) -> tuple[Tensor, Tensor]:
     """Enrich many clips in batched passes.
 
-    Takes the clips themselves and returns (pooled, enriched), the clips'
-    frame rows back to back, each [n * frames x channels]: pooled over
-    patches after patch enrichment, and enriched after frame enrichment.
+    Takes the clips themselves, each [frames x patches x channels] as the
+    config declares (any other shape is refused before a payload is read),
+    and returns (pooled, enriched), the clips' frame rows back to back, each
+    [n * frames x channels]: pooled over patches after patch enrichment,
+    and enriched after frame enrichment.
     With frame enrichment off they are one tensor. Patch enrichment never
     crosses a frame, so the clips are widened and patch-enriched in
     consecutive groups of at most ENRICH_GROUP_BYTES (at least one clip
@@ -227,12 +229,9 @@ def enrich_block(tape: Tape, clips: Sequence[FeatureClip], params: ModelParams,
     which is exact.
     """
     for clip in clips:
-        if clip.shape[0] != config.frames or clip.shape[2] != config.channels \
-                or clip.shape != clips[0].shape:
-            raise ShapeError(
-                f"clip shape {clip.shape} does not match config "
-                f"[{config.frames} x patches x {config.channels}] and the "
-                f"first clip {clips[0].shape}")
+        if clip.shape != (config.frames, config.patches, config.channels):
+            raise ShapeError(f"clip shape {clip.shape} does not match config [{config.frames} "
+                             f"x {config.patches} x {config.channels}]")
     n = len(clips)
     per_group = max(1, ENRICH_GROUP_BYTES // (8 * math.prod(clips[0].shape)))
     folds = enrichment.ple_folds(tape, params.ple) if config.use_ple else None

@@ -16,7 +16,7 @@ import numpy as np
 from . import episodes, model
 from .diffcore import (NumericalError, Param, Tape, Tensor, finite_diff_gradients,
                        zero_grads)
-from .episodes import ClipRecord, Dataset, Episode, EpisodeSpec, sample_episode
+from .episodes import Dataset, Episode, EpisodeSpec, sample_episode
 from .model import ModelConfig, ModelParams, build_params, forward_episode
 
 __all__ = [
@@ -93,8 +93,6 @@ def sgd_step(params: Iterable[Param], learning_rate: float,
 def _report(labels, hits, episodes: int) -> EvalReport:
     """Accuracy, its 95% half-width 1.96 * sqrt(p * (1 - p) / n) and the
     per-class accuracy of n scored queries, from their labels and hits."""
-    if episodes < 1:
-        raise ValueError(f"need at least 1 eval episode, got {episodes}")
     labels, hits = np.ravel(labels), np.ravel(hits)
     accuracy = int(hits.sum()) / hits.size
     ci = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / hits.size)
@@ -105,27 +103,18 @@ def _report(labels, hits, episodes: int) -> EvalReport:
                       per_class_accuracy=per_class_accuracy)
 
 
-def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
-             spec: EpisodeSpec, n_episodes: int) -> EvalReport:
-    """Accuracy of matching-head predictions over freshly sampled episodes.
+def _plan(dataset: Dataset, spec: EpisodeSpec, n_episodes: int):
+    """An evaluation call's episodes, sampled before any clip is read.
 
-    Predictions use the matching logits only; ties resolve to the lowest
-    class index. The half-width is taken over all scored queries. The pair
-    is checked by model.validate_against before any episode is sampled.
-
-    The call samples its episodes first into int32 tables of cache slots
-    [episodes x clips] and ways [episodes x queries] (one spec, one layout),
-    then enriches each distinct clip (each record, whatever its id) once, in
-    first-use order and chunks of at most one episode's clips, on one
-    forward-only tape. model.score_rows, as in score_episode, scores every
-    episode from those rows (L x D x 8 bytes per distinct clip, dropped with
-    the call, as training changes the parameters between calls); a
-    one-episode call scores views of them.
+    Returns (shots, clips, labels, plan, ways): the support clips per class;
+    each distinct clip (each record, whatever its id) once, in first-use
+    order, with its label [slots]; and int32 tables of slots [episodes x
+    clips], in episode_clips' order, and ways [episodes x queries] (one spec,
+    one layout).
     """
-    model.validate_against(params, config)
     if n_episodes < 1:
         raise ValueError(f"need at least 1 eval episode, got {n_episodes}")
-    slots: dict[int, int] = {}  # id(record) -> the record's clip in the cache
+    slots: dict[int, int] = {}  # id(record) -> the record's slot
     clips, labels = [], []  # per slot
     for counter in range(n_episodes):
         episode = sample_episode(dataset, spec, counter)
@@ -139,52 +128,59 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
                 labels.append(record.label)
         plan[counter] = [slots[id(record)] for record in episode_records]
         ways[counter] = [way for _, way in episode.queries]
+    return shots, clips, np.array(labels), plan, ways
+
+
+def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
+             spec: EpisodeSpec, n_episodes: int) -> EvalReport:
+    """Accuracy of matching-head predictions over freshly sampled episodes.
+
+    Predictions use the matching logits only; ties resolve to the lowest
+    class index. The half-width is taken over all scored queries. The pair
+    is checked by model.validate_against before any episode is sampled.
+
+    _plan samples the call's episodes. Each distinct clip is then enriched
+    once, in first-use order and chunks of one episode's clip count, on one
+    forward-only tape, into a cache of L x D x 8 bytes per distinct clip
+    that dies with the call, as training changes the parameters between
+    calls. Every episode gathers a copy of its rows from the cache, and
+    model.score_rows, as in score_episode, scores them.
+    """
+    model.validate_against(params, config)
+    shots, clips, labels, plan, ways = _plan(dataset, spec, n_episodes)
     tape = Tape(grad=False)
     per_chunk = plan.shape[1]
-    if len(clips) <= per_chunk:
-        cache = model.enrich_block(tape, clips, params, config)[1].data
-    else:
-        cache = np.empty((len(clips) * config.frames, config.channels))
-        for start in range(0, len(clips), per_chunk):
-            chunk = clips[start:start + per_chunk]
-            cache[start * config.frames:(start + len(chunk)) * config.frames] = \
-                model.enrich_block(tape, chunk, params, config)[1].data
-    cache = cache.reshape(len(clips), config.frames, config.channels)
+    cache = np.empty((len(clips), config.frames, config.channels))
+    for start in range(0, len(clips), per_chunk):
+        chunk = clips[start:start + per_chunk]
+        cache[start:start + len(chunk)] = model.enrich_block(
+            tape, chunk, params, config)[1].data.reshape(-1, config.frames, config.channels)
     hits = np.empty(ways.shape, dtype=bool)
     for index, episode_ways, episode_hits in zip(plan, ways, hits):
-        first = index[0]
-        in_order = np.array_equal(index, np.arange(first, first + len(index)))
-        rows = cache[first:first + len(index)] if in_order else cache[index]
-        logits = model.score_rows(tape, Tensor(rows.reshape(-1, config.channels)),
+        logits = model.score_rows(tape, Tensor(cache[index].reshape(-1, config.channels)),
                                   shots, params, config)
         episode_hits[:] = np.argmax(logits.data, axis=1) == episode_ways
-    return _report(np.array(labels)[plan[:, sum(shots):]], hits, n_episodes)
+    return _report(labels[plan[:, sum(shots):]], hits, n_episodes)
 
 
 def mean_pool_baseline(dataset: Dataset, spec: EpisodeSpec, n_episodes: int) -> EvalReport:
     """Order-blind reference classifier: nearest class mean of clip averages.
 
     Each clip is reduced to its mean over frames and patches, so any purely
-    temporal class structure is invisible to it. Each distinct clip (each
-    record) is read and reduced once per call.
+    temporal class structure is invisible to it. _plan samples the call's
+    episodes, as for evaluate, so each distinct clip is read and reduced
+    once per call. Each query goes to the class whose support means average
+    nearest to its mean (Euclidean; ties to the lowest class index).
     """
-    means: dict[int, np.ndarray] = {}  # id(record) -> the clip's mean
-
-    def mean(record: ClipRecord) -> np.ndarray:
-        if id(record) not in means:
-            means[id(record)] = record.features.values.data.mean(axis=(0, 1))
-        return means[id(record)]
-
-    labels, hits = [], []
-    for counter in range(n_episodes):
-        episode = sample_episode(dataset, spec, counter)
-        prototypes = np.stack([np.mean([mean(rec) for rec in way_clips], axis=0)
-                               for way_clips in episode.support])
-        for record, way in episode.queries:
-            dists = np.linalg.norm(prototypes - mean(record)[None, :], axis=1)
-            labels.append(record.label)
-            hits.append(int(np.argmin(dists)) == way)
-    return _report(labels, hits, n_episodes)
+    shots, clips, labels, plan, ways = _plan(dataset, spec, n_episodes)
+    means = np.stack([clip.values.data.mean(axis=(0, 1)) for clip in clips])
+    support = sum(shots)
+    hits = np.empty(ways.shape, dtype=bool)
+    for index, episode_ways, episode_hits in zip(plan, ways, hits):
+        prototypes = means[index[:support]].reshape(len(shots), shots[0], -1).mean(axis=1)
+        dists = np.linalg.norm(prototypes[None] - means[index[support:], None], axis=2)
+        episode_hits[:] = np.argmin(dists, axis=1) == episode_ways
+    return _report(labels[plan[:, support:]], hits, n_episodes)
 
 
 @dataclass

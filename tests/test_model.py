@@ -151,6 +151,17 @@ def test_the_config_alone_switches_each_stage(off):
     assert got.loss.item() != forward_episode(Tape(), episode, full, cfg).loss.item()
 
 
+def saved_and_loaded(root, **extents):
+    """Two classes of two synthetic clips, saved under root and loaded back."""
+    rows = []
+    for record in generate_synthetic(SyntheticSpec(num_classes=2, clips_per_class=2,
+                                                   seed=1, **extents)).clips:
+        save_clip(record, root / f"{record.clip_id}.stfb")
+        rows.append((f"{record.clip_id}.stfb", record.label))
+    write_manifest(rows, root / "manifest.tsv")
+    return load_dataset(root / "manifest.tsv")
+
+
 @pytest.mark.parametrize("entry", ["validate_against", "forward_episode", "evaluate"])
 @pytest.mark.parametrize("group", ["ple", "fle", "trm.3", "qc.3"])
 def test_a_group_the_config_enables_is_refused_by_name_before_any_clip_is_read(
@@ -160,13 +171,7 @@ def test_a_group_the_config_enables_is_refused_by_name_before_any_clip_is_read(
     clip is read (not a bare KeyError from inside matching)."""
     params = params_from_arrays({p.name: p.value.data for p in build_params(OMEGA23).all()
                                  if not p.name.startswith(f"{group}.")})
-    rows = []
-    for record in generate_synthetic(SyntheticSpec(num_classes=2, clips_per_class=2,
-                                                   seed=1)).clips:
-        save_clip(record, tmp_path / f"{record.clip_id}.stfb")
-        rows.append((f"{record.clip_id}.stfb", record.label))
-    write_manifest(rows, tmp_path / "manifest.tsv")
-    dataset = load_dataset(tmp_path / "manifest.tsv")
+    dataset = saved_and_loaded(tmp_path)
     spec = EpisodeSpec(ways=2, shots=1, seed=0)
     reads, read_array = [], episodes._read_array
     monkeypatch.setattr(episodes, "_read_array",
@@ -177,6 +182,31 @@ def test_a_group_the_config_enables_is_refused_by_name_before_any_clip_is_read(
             "evaluate": lambda: evaluate(dataset, params, OMEGA23, spec, 2)}[entry]
     with pytest.raises(ShapeError, match=rf"^parameters lack {re.escape(group)}, "
                        "which the config scores with$"):
+        call()
+    assert reads == []
+
+
+@pytest.mark.parametrize("entry", ["score_episode", "evaluate"])
+@pytest.mark.parametrize("extents,shape", [(dict(patches=16), "(8, 16, 64)"),
+                                           (dict(frames=6), "(6, 4, 64)")],
+                         ids=["patches", "frames"])
+def test_a_clip_the_config_does_not_shape_is_refused_before_any_payload_is_read(
+        tmp_path, monkeypatch, extents, shape, entry):
+    """Clips must be [frames x patches x channels] as the config declares
+    them: a default config (4 patches) refuses 16-patch clips, naming both
+    shapes, before any payload is read."""
+    cfg = ModelConfig(seed=0)
+    dataset = saved_and_loaded(tmp_path, **extents)
+    spec = EpisodeSpec(ways=2, shots=1, seed=0)
+    params = build_params(cfg)
+    reads, read_array = [], episodes._read_array
+    monkeypatch.setattr(episodes, "_read_array",
+                        lambda *args: reads.append(args[1]) or read_array(*args))
+    call = {"score_episode": lambda: score_episode(
+                Tape(grad=False), sample_episode(dataset, spec, 0), params, cfg),
+            "evaluate": lambda: evaluate(dataset, params, cfg, spec, 2)}[entry]
+    with pytest.raises(ShapeError, match=rf"^clip shape {re.escape(shape)} does not match "
+                       r"config \[8 x 4 x 64\]$"):
         call()
     assert reads == []
 

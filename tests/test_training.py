@@ -707,18 +707,61 @@ def logged_evaluate(monkeypatch):
 def test_evaluate_from_cached_rows_equals_scoring_each_episode(
         loaded_and_widened, monkeypatch, omegas, keep_ratio, stages, clips):
     """Each distinct clip is enriched once per call, in chunks of one
-    episode's clip count; every episode's logits are bitwise those of
-    score_episode on that episode alone."""
+    episode's clip count; every episode's logits, one-episode calls
+    included, are bitwise those of score_episode on that episode alone."""
     ds = dict(zip(["loaded", "in-memory"], loaded_and_widened))[clips]
     cfg = ModelConfig(omegas=omegas, tuple_keep_ratio=keep_ratio, tuple_seed=1, seed=0,
                       **STAGES[stages], **TINY)
     params = build_params(cfg)
     spec = EpisodeSpec(ways=3, shots=2, queries_per_class=2, seed=7)
-    expected, expected_logits = reference_report(ds, params, cfg, spec, 25)
     run, _ = logged_evaluate(monkeypatch)
-    report, logits = run(ds, params, cfg, spec, 25)
-    assert report == expected
-    assert [a.tobytes() for a in logits] == [a.tobytes() for a in expected_logits]
+    for n_episodes in (1, 25):
+        expected, expected_logits = reference_report(ds, params, cfg, spec, n_episodes)
+        report, logits = run(ds, params, cfg, spec, n_episodes)
+        assert report == expected
+        assert [a.tobytes() for a in logits] == [a.tobytes() for a in expected_logits]
+
+
+@pytest.fixture(scope="module")
+def baseline_clips(tmp_path_factory):
+    """Five classes of eight clips, held in memory and loaded from files."""
+    root = tmp_path_factory.mktemp("baseline")
+    ds = tiny_dataset(num_classes=5, clips=8, seed=3)
+    for record in ds.clips:
+        save_clip(record, root / f"{record.clip_id}.stfb")
+    write_manifest([(f"{r.clip_id}.stfb", r.label) for r in ds.clips], root / "manifest.tsv")
+    return {"in-memory": ds, "loaded": load_dataset(root / "manifest.tsv")}
+
+
+def mean_pool_by_query(ds, spec, n_episodes):
+    """mean_pool_baseline one query at a time: every clip's mean over frames
+    and patches, each class's support means averaged, and the nearest class
+    by Euclidean distance."""
+    def mean(record):
+        return record.features.values.data.mean(axis=(0, 1))
+
+    labels, hits = [], []
+    for counter in range(n_episodes):
+        episode = sample_episode(ds, spec, counter)
+        prototypes = np.stack([np.mean([mean(record) for record in group], axis=0)
+                               for group in episode.support])
+        for record, way in episode.queries:
+            dists = np.linalg.norm(prototypes - mean(record)[None, :], axis=1)
+            labels.append(record.label)
+            hits.append(int(np.argmin(dists)) == way)
+    return training._report(labels, hits, n_episodes)
+
+
+@pytest.mark.parametrize("clips", ["loaded", "in-memory"])
+@pytest.mark.parametrize("spec", [EpisodeSpec(ways=5, shots=5, seed=5),
+                                  EpisodeSpec(ways=5, shots=1, seed=6),
+                                  EpisodeSpec(ways=3, shots=2, queries_per_class=3, seed=7)],
+                         ids=["5way5shot", "5way1shot", "3queries"])
+def test_mean_pool_baseline_equals_scoring_each_query(baseline_clips, clips, spec):
+    ds = baseline_clips[clips]
+    for n_episodes in (1, 30):
+        assert mean_pool_baseline(ds, spec, n_episodes) == \
+            mean_pool_by_query(ds, spec, n_episodes)
 
 
 def test_each_evaluate_call_scores_its_own_parameters_and_drops_its_cache(
