@@ -39,17 +39,13 @@ EXIT_NUMERIC = 4
 _GRADCHECK_PARAM_CAP = 100_000
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _write_run_manifest(outdir: Path, command: str, args: argparse.Namespace,
                         outputs: dict[str, str]) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     payload = {
         "command": command,
-        "created": _utc_now(),
+        "created": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "resolved": resolved,
         "outputs": outputs,
@@ -129,13 +125,9 @@ def _train_inputs(args, eval_every: int, eval_episodes: int):
                            use_ple=not args.no_ple, use_fle=not args.no_fle,
                            use_qc=not args.no_qc, tuple_keep_ratio=args.keep_ratio,
                            tuple_seed=args.tuple_seed)
-    train_config = TrainConfig(
-        episodes=args.episodes,
-        learning_rate=args.lr,
-        accumulate_every=args.accumulate_every,
-        eval_every=eval_every,
-        eval_episodes=eval_episodes,
-    )
+    train_config = TrainConfig(episodes=args.episodes, learning_rate=args.lr,
+                               accumulate_every=args.accumulate_every,
+                               eval_every=eval_every, eval_episodes=eval_episodes)
     return dataset, eval_dataset, config, train_config, _episode_spec(args, args.seed)
 
 
@@ -198,6 +190,8 @@ def cmd_eval(args) -> int:
     config = infer_config(params, frames=dataset.frames, patches=dataset.patches,
                           channels=dataset.channels, tuple_keep_ratio=args.keep_ratio,
                           tuple_seed=args.tuple_seed)
+    if args.out:
+        _write_run_manifest(Path(args.out), "eval", args, {"report": "report.json"})
     report = evaluate(dataset, params, config, _episode_spec(args, args.seed),
                       args.episodes)
     print(f"accuracy {report.accuracy:.4f} +/- {report.ci95_halfwidth:.4f} "
@@ -205,9 +199,7 @@ def cmd_eval(args) -> int:
     for label, acc in report.per_class_accuracy:
         print(f"  class {label}: {acc:.4f}")
     if args.out:
-        outdir = Path(args.out)
-        _write_run_manifest(outdir, "eval", args, {"report": "report.json"})
-        write_atomic(outdir / "report.json", (json.dumps(
+        write_atomic(Path(args.out) / "report.json", (json.dumps(
             dataclasses.asdict(report), indent=2) + "\n").encode("utf-8"))
     return EXIT_OK
 
@@ -231,6 +223,8 @@ def cmd_gradcheck(args) -> int:
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, queries_per_class=1,
                        seed=args.seed)
     episode = sample_episode(dataset, spec, 0)
+    if args.out:
+        _write_run_manifest(Path(args.out), "gradcheck", args, {"table": "gradcheck.tsv"})
     rows = gradcheck_model(config, episode, step=args.step,
                            threshold=args.threshold, params=params)
     width = max(len(r.name) for r in rows)
@@ -242,9 +236,7 @@ def cmd_gradcheck(args) -> int:
     print(f"{len(rows) - len(failed)}/{len(rows)} parameters pass "
           f"(threshold {args.threshold:g})")
     if args.out:
-        outdir = Path(args.out)
-        _write_run_manifest(outdir, "gradcheck", args, {"table": "gradcheck.tsv"})
-        write_atomic(outdir / "gradcheck.tsv", "".join(
+        write_atomic(Path(args.out) / "gradcheck.tsv", "".join(
             f"{r.name}\t{r.max_rel_error:.17g}\t"
             f"{'pass' if r.passed else 'fail'}\n" for r in rows).encode("utf-8"))
     return EXIT_NUMERIC if failed else EXIT_OK

@@ -485,43 +485,34 @@ class Tape:
 
         return self._record(out, backward, x)
 
-    def cross_entropy(self, probs: Tensor, targets: Sequence[int]) -> Tensor:
-        """Negative log-likelihood of one target per row of a matrix of row
-        distributions: the vector of per-row losses.
-
-        Input must already be distributions; each picked probability is
-        clamped at 1e-12 before the log so the loss stays finite.
-        """
-        _need_rank(probs, 2, "cross_entropy")
-        rows = probs.data
-        targets = np.asarray(targets, dtype=np.intp)
-        if targets.shape != (len(rows),):
-            raise ShapeError(f"cross_entropy needs one target per row, got "
-                             f"{targets.size} for shape {probs.shape}")
-        totals = rows.sum(axis=1)
-        bad = ~np.isfinite(rows).all(axis=1) | (np.abs(totals - 1.0) > 1e-9)
-        if bad.any():
-            raise ValueError(f"cross_entropy input is not a distribution "
-                             f"(sum={float(totals[bad.argmax()])!r})")
-        bad = (targets < 0) | (targets >= rows.shape[1])
+    def log_softmax_nll(self, logits: Tensor, targets: Sequence[int]) -> Tensor:
+        """Softmax cross-entropy of one target per row of a matrix of logits,
+        per row m + log sum exp(x - m) - x_t with m the row max: finite, and
+        with its gradient, however far the target sits below m. The adjoint
+        g * (softmax - onehot) reads only the softmax, the one array kept."""
+        _need_rank(logits, 2, "log_softmax_nll")
+        x, targets = logits.data, np.asarray(targets, dtype=np.intp)
+        if targets.shape != (len(x),):
+            raise ShapeError(f"log_softmax_nll needs one target per row, got "
+                             f"{targets.size} for shape {logits.shape}")
+        bad = (targets < 0) | (targets >= x.shape[1])
         if bad.any():
             raise IndexError(f"target {int(targets[bad.argmax()])} out of range "
-                             f"for {rows.shape[1]} classes")
-        at = (np.arange(len(rows)), targets)
-        picked = rows[at]
-        clamped = np.maximum(picked, 1e-12)
-        # math.log, not np.log: numpy's AVX-512 log is 1 ulp off on about 0.3%
-        # of inputs, which would change the loss bits.
-        out = Tensor(-np.fromiter(map(math.log, clamped), np.float64, len(clamped)))
-        kp, rows_shape = probs.key, rows.shape
+                             f"for {x.shape[1]} classes")
+        at, m = (np.arange(len(x)), targets), x.max(axis=1)
+        s = np.exp(x - m[:, None])
+        total = s.sum(axis=1)
+        out = Tensor(m - x[at] + np.log(total))
+        s /= total[:, None]
+        kx = logits.key
 
         def backward(g, adj):
-            d = np.zeros(rows_shape, dtype=np.float64)
-            # below the clamp the loss is locally constant
-            d[at] = np.where(picked >= 1e-12, -g / clamped, 0.0)
-            _accum(adj, kp, d)
+            d = s  # the node runs once, so its softmax is free to reuse
+            d[at] -= 1.0
+            d *= g[:, None]
+            _accum(adj, kx, d)
 
-        return self._record(out, backward, probs)
+        return self._record(out, backward, logits)
 
     def rows_l2norm(self, x: Tensor) -> Tensor:
         """Euclidean norm of each row of a matrix."""

@@ -13,6 +13,7 @@ a block of queries against every class in one batched pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -270,7 +271,7 @@ def _trm_distances(
     keys_t = {w: tape.transpose(per_class(k)) for w, k in keys.items()}
     values = {w: per_class(v) for w, v in values.items()}
     q_keys, q_values = _embed_rows(tape, rows, frames, tuple_sets, trm_params)
-    total: Tensor | None = None
+    dists = []
     for omega, tuples in tuple_sets.items():
         scaled = tape.scale(q_keys[omega], 1.0 / math.sqrt(keys_t[omega].shape[1]))
         # each class block: every query tuple attends over that class's tuples;
@@ -280,10 +281,8 @@ def _trm_distances(
         prototypes = tape.bmm(probs, values[omega])
         diffs = tape.sub(tape.repeat(q_values[omega], classes), prototypes)
         norms = tape.rows_l2norm(_rows(tape, diffs))
-        dist = tape.mean(tape.reshape(norms, (classes, queries, len(tuples))), axis=2)
-        total = dist if total is None else tape.add(total, dist)
-    assert total is not None
-    return total
+        dists.append(tape.mean(tape.reshape(norms, (classes, queries, len(tuples))), axis=2))
+    return functools.reduce(tape.add, dists)
 
 
 def trm_distance(
@@ -380,16 +379,14 @@ def _qc_similarities(
     rows = _rows(tape, query_frames)
     codes = _encode_rows(tape, support, frames, tuple_sets, qc_params)
     q_codes = _encode_rows(tape, rows, frames, tuple_sets, qc_params)
-    total: Tensor | None = None
+    sims = []
     for omega, tuples in tuple_sets.items():
-        sims = tape.cosine_matrix(q_codes[omega], codes[omega])
+        cosines = tape.cosine_matrix(q_codes[omega], codes[omega])
         # best match of each query tuple within each class's support tuples
         best = tape.max_rows(tape.reshape(
-            sims, (queries * len(tuples) * classes, sims.shape[1] // classes)))
-        sim = tape.mean(tape.reshape(best, (queries, len(tuples), classes)), axis=1)
-        total = sim if total is None else tape.add(total, sim)
-    assert total is not None
-    return total
+            cosines, (queries * len(tuples) * classes, cosines.shape[1] // classes)))
+        sims.append(tape.mean(tape.reshape(best, (queries, len(tuples), classes)), axis=1))
+    return functools.reduce(tape.add, sims)
 
 
 def qc_similarity(

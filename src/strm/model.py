@@ -103,6 +103,13 @@ class ModelParams:
                   *(self.qc[w] for w in sorted(self.qc))]
         return [p for group in groups if group is not None for p in group.all()]
 
+    def scored(self, config: ModelConfig) -> ModelParams:
+        """The groups `config` scores with, those validate_against walks."""
+        return ModelParams(self.ple if config.use_ple else None,
+                           self.fle if config.use_fle else None,
+                           {w: self.trm[w] for w in config.omegas},
+                           {w: self.qc[w] for w in config.omegas} if config.use_qc else {})
+
 
 def _seed_for(config_seed: int):
     def seed_for(name: str):
@@ -327,13 +334,13 @@ def forward_episode(tape: Tape, episode: Episode, params: ModelParams,
     Matching logits are negative tuple distances on the temporally enriched
     features; similarity logits come from the pooled features. The loss is
     the matching cross-entropy plus qc_weight times the similarity
-    cross-entropy, averaged over the episode's queries.
+    cross-entropy, each a log_softmax_nll averaged over the episode's queries.
     """
     targets = [way for _, way in episode.queries]
     tm, qc = score_episode(tape, episode, params, config)
-    tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
+    tm_mean = tape.mean(tape.log_softmax_nll(tm, targets), axis=0)
     if qc is None:
         return ForwardResult(tm_mean, tm.data, None, tm_mean.item(), 0.0)
-    qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
+    qc_mean = tape.mean(tape.log_softmax_nll(qc, targets), axis=0)
     loss = tape.add(tm_mean, tape.scale(qc_mean, config.qc_weight))
     return ForwardResult(loss, tm.data, qc.data, tm_mean.item(), qc_mean.item())

@@ -13,7 +13,7 @@ import pytest
 
 from strm import cli
 from strm.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from strm.diffcore import Tensor
+from strm.diffcore import NumericalError, Tensor
 from strm.episodes import ClipRecord, FeatureClip, load_clip, save_clip
 from strm.model import ModelConfig, build_params
 from strm.training import save_checkpoint
@@ -324,6 +324,25 @@ def test_eval_reports_accuracy(tiny_data, tiny_checkpoint, capsys, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["accuracy"] <= 1.0
     assert report["episodes"] == 10
+
+
+@pytest.mark.parametrize("command", ["eval", "gradcheck"])
+def test_the_run_manifest_is_written_before_computing(tmp_path, tiny_data, tiny_checkpoint,
+                                                      monkeypatch, capsys, command):
+    """With the evaluation or the check failing, the manifest is there."""
+    def broken(*args, **kwargs):
+        raise NumericalError("computation failed")
+
+    monkeypatch.setattr(cli, "evaluate" if command == "eval" else "gradcheck_model", broken)
+    out = tmp_path / command
+    argv = (["eval", "--data", str(tiny_data), "--checkpoint", str(tiny_checkpoint),
+             "--episodes", "4", "--ways", "2", "--shots", "1"] if command == "eval"
+            else ["gradcheck"])
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_NUMERIC
+    assert "computation failed" in capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["command"] == command
+    assert sorted(path.name for path in out.iterdir()) == ["run_manifest.json"]
 
 
 def test_eval_extent_mismatch_rejected(tmp_path, tiny_data, capsys):

@@ -199,75 +199,94 @@ def test_forward_only_tape_records_nothing_and_refuses_backward():
         tape.backward(loss, [w])
 
 
-# -- cross entropy -----------------------------------------------------------
+# -- cross entropy: log_softmax_nll over logits --------------------------------
 
 
 def test_cross_entropy_uniform():
-    probs = Tensor(np.full((5, 5), 0.2))
-    out = Tape().cross_entropy(probs, range(5))
+    out = Tape().log_softmax_nll(Tensor(np.full((5, 5), 0.3)), range(5))
     assert np.abs(out.data - math.log(5)).max() <= 1e-12
 
 
 def test_cross_entropy_certain():
-    assert Tape().cross_entropy(Tensor([[1.0, 0.0, 0.0]]), [0]).data[0] == 0.0
+    """A target 1000 above the other logits costs exactly nothing."""
+    assert Tape().log_softmax_nll(Tensor([[1000.0, 0.0, 0.0]]), [0]).data[0] == 0.0
 
 
 def test_cross_entropy_direct_value():
-    out = Tape().cross_entropy(Tensor([[0.7, 0.2, 0.1]]), [1])
+    """Logits log p of a distribution p cost -log p_t."""
+    out = Tape().log_softmax_nll(Tensor(np.log([[0.7, 0.2, 0.1]])), [1])
     assert abs(out.data[0] - (-math.log(0.2))) <= 1e-12
     assert abs(out.data[0] - 1.60944) <= 1e-5
 
 
-def test_cross_entropy_rejects_non_distribution():
-    with pytest.raises(ValueError, match="distribution"):
-        Tape().cross_entropy(Tensor([[0.5, 0.2]]), [0])
+def test_log_softmax_nll_is_invariant_to_a_row_shift():
+    """Any real rows are logits: shifting a row by a constant moves neither
+    its loss nor its gradient."""
+    x = np.array([[0.5, 0.2, -1.0], [3.0, -2.0, 0.25]])
+    p = as_param("p", x)
+    q = as_param("q", x + np.array([[40.0], [-7.5]]))
+    losses = {}
+
+    def loss(tape, param):
+        rows = tape.log_softmax_nll(param.value, [0, 1])
+        losses[param.name] = rows.data
+        return tape.mean(rows, axis=0)
+
+    grads = tape_grads(lambda tape: tape.add(loss(tape, p), loss(tape, q)), [p, q])
+    assert np.allclose(losses["p"], losses["q"], rtol=0.0, atol=1e-13)
+    assert np.allclose(grads["p"], grads["q"], rtol=0.0, atol=1e-15)
 
 
 def test_cross_entropy_rows_match_one_row_calls():
-    probs = np.array([[0.7, 0.2, 0.1], [0.25, 0.25, 0.5]])
+    logits = np.array([[0.7, 0.2, 0.1], [0.25, -1.25, 2.5]])
     tape = Tape()
-    rows = tape.cross_entropy(Tensor(probs), [1, 2])
+    rows = tape.log_softmax_nll(Tensor(logits), [1, 2])
     assert rows.shape == (2,)
     for i, target in enumerate([1, 2]):
-        assert rows.data[i] == Tape().cross_entropy(Tensor(probs[i:i + 1]), [target]).data[0]
+        assert rows.data[i] == Tape().log_softmax_nll(Tensor(logits[i:i + 1]),
+                                                      [target]).data[0]
     with pytest.raises(ShapeError, match="one target per row"):
-        tape.cross_entropy(Tensor(probs), [1])
+        tape.log_softmax_nll(Tensor(logits), [1])
 
 
 def test_cross_entropy_rejects_bad_rows_and_targets():
-    probs = Tensor([[0.7, 0.2, 0.1], [0.5, 0.25, 0.125]])
-    with pytest.raises(ValueError, match=r"distribution \(sum=0\.875\)"):
-        Tape().cross_entropy(probs, [0, 0])
     good = Tensor([[0.7, 0.2, 0.1], [0.25, 0.25, 0.5]])
     for targets in ([0, 3], [-1, 0]):
         with pytest.raises(IndexError, match="out of range for 3 classes"):
-            Tape().cross_entropy(good, targets)
+            Tape().log_softmax_nll(good, targets)
     with pytest.raises(IndexError):
-        Tape().cross_entropy(Tensor([[0.5, 0.5]]), [2])
-    # one distribution needs a row of its own
+        Tape().log_softmax_nll(Tensor([[0.5, 0.5]]), [2])
+    # one row of logits needs a row of its own
     with pytest.raises(ShapeError, match="rank-2"):
-        Tape().cross_entropy(Tensor([0.5, 0.5]), [0])
+        Tape().log_softmax_nll(Tensor([0.5, 0.5]), [0])
 
 
-def test_cross_entropy_clamped_row_is_finite_without_gradient():
-    p = as_param("p", [[1.0, 0.0], [0.4, 0.6]])
+def test_log_softmax_nll_far_target_keeps_its_loss_and_gradient():
+    """A target logit 60 below its row's max costs about 60, and its gradient
+    is about -1. A softmax followed by a log clamped at 1e-12 gave 27.6 and a
+    zero gradient there."""
+    p = as_param("p", [[60.0, 0.0, 1.0]])
 
     def loss(tape):
-        return tape.mean(tape.cross_entropy(p.value, [1, 1]), axis=0)
+        return tape.mean(tape.log_softmax_nll(p.value, [1]), axis=0)
 
-    assert loss(Tape()).item() == 0.5 * (-math.log(1e-12) - math.log(0.6))
+    assert abs(loss(Tape()).item() - 60.0) <= 1e-12
     grads = tape_grads(loss, [p])
-    assert np.array_equal(grads["p"], [[0.0, 0.0], [0.0, -0.5 / 0.6]])
+    assert abs(grads["p"][0, 1] + 1.0) <= 1e-12
+    probs = np.exp(p.value.data - 60.0) / np.exp(p.value.data - 60.0).sum()
+    assert np.allclose(grads["p"], probs - [[0.0, 1.0, 0.0]], rtol=0.0, atol=1e-15)
 
 
 def test_cross_entropy_gradient():
+    """The adjoint is softmax - onehot."""
     p = as_param("p", [[0.6, 0.3, 0.1]])
 
     def loss(tape):
-        return tape.mean(tape.cross_entropy(p.value, [1]), axis=0)
+        return tape.mean(tape.log_softmax_nll(p.value, [1]), axis=0)
 
     grads = tape_grads(loss, [p])
-    assert np.allclose(grads["p"], [[0.0, -1.0 / 0.3, 0.0]])
+    probs = np.exp(p.value.data) / np.exp(p.value.data).sum()
+    assert np.allclose(grads["p"], probs - [[0.0, 1.0, 0.0]], rtol=0.0, atol=1e-15)
 
 
 # -- aux ops -----------------------------------------------------------------
@@ -372,9 +391,12 @@ OP_SCENARIOS = {
     "max_reduce": lambda tape, p, c: tape.max_rows(
         tape.reshape(p[0].value, (1, p[0].value.size))),
     "max_rows": lambda tape, p, c: tape.max_rows(p[0].value),
-    "cross_entropy": lambda tape, p, c: tape.cross_entropy(
-        tape.softmax_last(p[0].value), [i % p[0].value.shape[1]
-                                        for i in range(p[0].value.shape[0])]),
+    # the mean loss of a head, as forward_episode scores each
+    "cross_entropy": lambda tape, p, c: tape.mean(tape.log_softmax_nll(
+        p[0].value, [i % p[0].value.shape[1] for i in range(p[0].value.shape[0])]), axis=0),
+    "log_softmax_nll": lambda tape, p, c: tape.log_softmax_nll(
+        tape.scale(p[0].value, 2.0), [(3 * i + 1) % p[0].value.shape[1]
+                                      for i in range(p[0].value.shape[0])]),
     # one operand a constant (c[i] has the shape of p[i]): the adjoint toward
     # the constant is skipped, the one toward the Param must stay exact
     "matmul1": lambda tape, p, c: tape.matmul(p[0].value, c[1]),
@@ -443,7 +465,7 @@ TAPE_SURFACE = {
     "mean": "(self, x: 'Tensor', axis: 'int') -> 'Tensor'",
     "relu": "(self, x: 'Tensor') -> 'Tensor'",
     "softmax_last": "(self, x: 'Tensor') -> 'Tensor'",
-    "cross_entropy": "(self, probs: 'Tensor', targets: 'Sequence[int]') -> 'Tensor'",
+    "log_softmax_nll": "(self, logits: 'Tensor', targets: 'Sequence[int]') -> 'Tensor'",
     "rows_l2norm": "(self, x: 'Tensor') -> 'Tensor'",
     "cosine_matrix": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
     "max_rows": "(self, x: 'Tensor') -> 'Tensor'",

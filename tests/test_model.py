@@ -312,11 +312,11 @@ def per_clip_loss(tape, episode, params, cfg):
     tm = trm_logits(tape, tape.reshape(tape.concat([e for _, e in queries]), block),
                     tape.concat([e for _, e in support]), tuples, params.trm,
                     classes=len(shots))
-    tm_mean = tape.mean(tape.cross_entropy(tape.softmax_last(tm), targets), axis=0)
+    tm_mean = tape.mean(tape.log_softmax_nll(tm, targets), axis=0)
     qc = qc_logits(tape, tape.reshape(tape.concat([p for p, _ in queries]), block),
                    tape.concat([p for p, _ in support]), tuples, params.qc,
                    classes=len(shots))
-    qc_mean = tape.mean(tape.cross_entropy(tape.softmax_last(qc), targets), axis=0)
+    qc_mean = tape.mean(tape.log_softmax_nll(qc, targets), axis=0)
     return tape.add(tm_mean, tape.scale(qc_mean, cfg.qc_weight))
 
 

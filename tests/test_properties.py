@@ -60,6 +60,16 @@ def test_softmax_last_adjoint(batch, rows, cols, scale, seed):
 
 
 @property_settings
+@given(rows=dims, cols=st.integers(2, 6), scale=st.floats(0.1, 1.0), seed=seeds)
+def test_log_softmax_nll_adjoint(rows, cols, scale, seed):
+    """Any targets, in logits of scale at most 1, as for softmax_last."""
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((rows, cols))
+    targets = rng.integers(0, cols, rows)
+    check_adjoint(lambda tape, a: tape.log_softmax_nll(a, targets), [x], seed)
+
+
+@property_settings
 @given(rows=dims, cols=dims, axis=st.sampled_from([0, 1]), seed=seeds)
 def test_mean_adjoint(rows, cols, axis, seed):
     x = np.random.default_rng(seed).standard_normal((rows, cols))

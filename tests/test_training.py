@@ -94,6 +94,53 @@ def test_sgd_aborts_on_nonfinite_gradient():
         sgd_step([p], 0.1)
 
 
+def test_sgd_refuses_a_gradient_whose_square_sum_overflows_before_any_update():
+    keep = Param("kept", Tensor([1.0, 2.0]))
+    keep.grad[...] = 1.0
+    huge = Param("huge_param", Tensor([1.0]))
+    huge.grad[...] = 1e200
+    with pytest.raises(NumericalError, match="huge_param"):
+        sgd_step([keep, huge], 0.1)
+    assert np.array_equal(keep.value.data, [1.0, 2.0])
+
+
+def random_params(scale, seed=0):
+    rng = np.random.default_rng(seed)
+    params = [Param(f"p{i}", Tensor(rng.standard_normal(shape)))
+              for i, shape in enumerate([(3, 4), (5,), (2, 2, 2)])]
+    for p in params:
+        p.grad[...] = scale * rng.standard_normal(p.value.shape)
+    return params
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_huge_gradient_moves_the_parameters_by_lr_times_the_cap(count):
+    """A gradient 1e6 times too large is applied along its own direction with
+    global norm exactly learning_rate * MAX_GRAD_NORM."""
+    params = random_params(1e6)
+    before = [p.value.data.copy() for p in params]
+    grads = [p.grad.copy() for p in params]
+    mean_norm = math.sqrt(sum(float((g * g).sum()) for g in grads)) / count
+    assert mean_norm > 1e6 * training.MAX_GRAD_NORM / 100
+    norm = sgd_step(params, 0.1, accumulation_count=count)
+    assert norm == pytest.approx(mean_norm, rel=1e-12)
+    moves = [b - p.value.data for b, p in zip(before, params)]
+    moved = math.sqrt(sum(float((m * m).sum()) for m in moves))
+    assert moved == pytest.approx(0.1 * training.MAX_GRAD_NORM, rel=1e-12)
+    for move, grad in zip(moves, grads):
+        assert np.allclose(move, grad * (moved / (mean_norm * count)), rtol=1e-12, atol=0.0)
+    assert all(not p.grad.any() for p in params)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_step_under_the_cap_is_the_plain_update_bit_for_bit(count):
+    params = random_params(1.0)
+    want = [p.value.data - 0.1 * (p.grad / count) for p in params]
+    assert sgd_step(params, 0.1, accumulation_count=count) < training.MAX_GRAD_NORM
+    for p, w in zip(params, want):
+        assert np.array_equal(p.value.data, w)
+
+
 # -- forward composition -----------------------------------------------------------
 
 
@@ -1121,6 +1168,25 @@ def test_checkpoint_claims_beyond_the_file_are_refused_before_allocating(tmp_pat
     path.write_bytes(b"STCK" + u32(1, 1) + record)
     with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("disabled", [dict(use_ple=False), dict(use_fle=False),
+                                      dict(use_qc=False), dict(omegas=(2,))],
+                         ids=["no-ple", "no-fle", "no-qc", "omega2-of-23"])
+def test_train_returns_only_the_groups_its_config_scores_with(tmp_path, disabled):
+    """Full parameters trained under a config that disables a stage come
+    back without it, so the saved checkpoint infers the training config."""
+    full = ModelConfig(seed=0, omegas=(2, 3), **TINY)
+    cfg = replace(full, **disabled)
+    ds = tiny_dataset()
+    params, _ = train(ds, cfg, TrainConfig(episodes=2, eval_every=2, eval_episodes=2),
+                      EpisodeSpec(ways=2, shots=1, seed=0), params=build_params(full))
+    assert {p.name for p in params.all()} == {p.name for p in build_params(cfg).all()}
+    save_checkpoint(params, tmp_path / "run.stck")
+    inferred = infer_config(params_from_arrays(load_checkpoint(tmp_path / "run.stck")),
+                            frames=cfg.frames, patches=cfg.patches)
+    assert (inferred.use_ple, inferred.use_fle, inferred.use_qc, inferred.omegas) == \
+        (cfg.use_ple, cfg.use_fle, cfg.use_qc, cfg.omegas)
 
 
 def test_infer_config_from_params():
