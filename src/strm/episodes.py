@@ -88,7 +88,7 @@ class FeatureClip:
     ClipFormatError naming the file if it was replaced, rewritten, truncated
     or removed since, or NonFiniteClipError if a value is no longer finite.
     `values` is the float64 Tensor of the features, widened when stored as
-    float32; the model widens an episode's clips a group at a time instead
+    float32; the model widens the clips it enriches in one stacking instead
     (enrich_block).
     """
 

@@ -3,7 +3,6 @@ forward pass producing the joint training loss."""
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,7 +24,6 @@ __all__ = [
     "params_from_arrays",
     "infer_config",
     "validate_against",
-    "ENRICH_GROUP_BYTES",
     "enrich_block",
     "enrich_clips",
     "episode_clips",
@@ -208,52 +206,38 @@ class ForwardResult:
     loss_qc: float
 
 
-# Bytes of float64 clip rows that enrich_block widens and patch-enriches at a
-# time, about a core's L2 cache: patch enrichment's transient is a few times
-# one group's block instead of growing with the clips per call. A group holds
-# at least one clip.
-ENRICH_GROUP_BYTES = 2 << 20
-
-
 def enrich_block(tape: Tape, clips: Sequence[FeatureClip], params: ModelParams,
-                 config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Enrich many clips in batched passes.
+                 config: ModelConfig,
+                 folds: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, Tensor]:
+    """Enrich many clips in one batched pass.
 
     Takes the clips themselves, each [frames x patches x channels] as the
-    config declares (any other shape is refused before a payload is read),
-    and returns (pooled, enriched), the clips' frame rows back to back, each
+    config declares (any other shape is refused before a payload is read,
+    naming a loaded clip's file or else the clip's index in the call), and
+    returns (pooled, enriched), the clips' frame rows back to back, each
     [n * frames x channels]: pooled over patches after patch enrichment,
     and enriched after frame enrichment.
     With frame enrichment off they are one tensor. Patch enrichment never
-    crosses a frame, so the clips are widened and patch-enriched in
-    consecutive groups of at most ENRICH_GROUP_BYTES (at least one clip
-    each), sharing PLE's folds, and every row is the same whatever the
-    grouping. A group's payloads (float32 or float64 as stored; a loaded
-    clip reads its file) are read only when that group is widened, and die
-    with the widening, so one group's payloads are alive at a time. Clip
-    values are module inputs, so stacking a group outside the tape is
-    gradient-free; it is also the one place they are widened to float64,
-    which is exact.
+    crosses a frame and frame enrichment never crosses a clip, so every row
+    is the same whatever clips share the call; `folds` is PLE's
+    (ple_folds), formed here unless a caller that enriches its clips call by
+    call passes them. The payloads (float32 or float64 as stored; a loaded
+    clip reads its file) die with the widening. Clip values are module
+    inputs, so stacking them outside the tape is gradient-free; it is also
+    the one place they are widened to float64, which is exact.
     """
-    for clip in clips:
+    for i, clip in enumerate(clips):
         if clip.shape != (config.frames, config.patches, config.channels):
-            raise ShapeError(f"clip shape {clip.shape} does not match config [{config.frames} "
-                             f"x {config.patches} x {config.channels}]")
-    n = len(clips)
-    per_group = max(1, ENRICH_GROUP_BYTES // (8 * math.prod(clips[0].shape)))
-    folds = enrichment.ple_folds(tape, params.ple) if config.use_ple else None
-
-    def pool(group: Sequence[FeatureClip]) -> Tensor:
-        block = Tensor(np.concatenate([clip.payload for clip in group], axis=0,
-                                      dtype=np.float64))
-        if folds is None:
-            return tape.mean(block, axis=1)  # (group * frames) x channels
-        return enrichment.ple_forward_batch(tape, block, params.ple, folds)
-
-    parts = [pool(clips[i:i + per_group]) for i in range(0, n, per_group)]
-    pooled = parts[0] if len(parts) == 1 else tape.concat(parts)
+            raise ShapeError(f"{clip._path or f'clip #{i}'}: shape {clip.shape} does not match "
+                             f"config [{config.frames} x {config.patches} x {config.channels}]")
+    if config.use_ple and folds is None:
+        folds = enrichment.ple_folds(tape, params.ple)
+    block = Tensor(np.concatenate([clip.payload for clip in clips], axis=0, dtype=np.float64))
+    pooled = (enrichment.ple_forward_batch(tape, block, params.ple, folds) if config.use_ple
+              else tape.mean(block, axis=1))  # (n * frames) x channels
     if not config.use_fle:
         return pooled, pooled
+    n = len(clips)
     enriched = enrichment.fle_forward_batch(
         tape, tape.reshape(pooled, (n, config.frames, config.channels)), params.fle)
     return pooled, tape.reshape(enriched, (n * config.frames, config.channels))
@@ -313,9 +297,9 @@ def score_episode(tape: Tape, episode: Episode, params: ModelParams,
     pooled frames (None unless the config's similarity head is on).
 
     validate_against checks the pair before any clip is read. The episode is
-    enriched as one block by enrich_block, which reads the clips' payloads a
-    group at a time, and scored by score_rows. Unless the similarity head is
-    scored, the pooled rows are dropped before matching.
+    enriched as one block by enrich_block and scored by score_rows. Unless
+    the similarity head is scored, the pooled rows are dropped before
+    matching.
     """
     validate_against(params, config)
     shots, records = episode_clips(episode)

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import episodes, model
+from . import enrichment, episodes, model
 from .diffcore import (NumericalError, Param, Tape, Tensor, finite_diff_gradients,
                        zero_grads)
 from .episodes import Dataset, Episode, EpisodeSpec, sample_episode
@@ -24,6 +24,7 @@ __all__ = [
     "EvalReport",
     "CheckpointFormatError",
     "MAX_GRAD_NORM",
+    "ENRICH_GROUP_BYTES",
     "sgd_step",
     "train",
     "evaluate",
@@ -43,6 +44,11 @@ _CHECKPOINT_HEADER = struct.Struct("<4sII")  # magic, version, parameter count
 
 # Offset between the training episode stream and the in-training eval stream.
 _EVAL_SEED_OFFSET = 1_000_003
+
+# Bytes of float64 clip rows that evaluate widens and patch-enriches at a time,
+# about a core's L2 cache: patch enrichment's transient is a few times one
+# chunk's block instead of growing with the clips per call.
+ENRICH_GROUP_BYTES = 2 << 20
 
 # Largest global gradient norm an SGD step applies: every run of the 5-variant
 # ablation at model seeds 0-4 peaked below 28 (below 21 with the fused loss).
@@ -149,21 +155,27 @@ def evaluate(dataset: Dataset, params: ModelParams, config: ModelConfig,
     is checked by model.validate_against before any episode is sampled.
 
     _plan samples the call's episodes. Each distinct clip is then enriched
-    once, in first-use order and chunks of one episode's clip count, on one
-    forward-only tape, into a cache of L x D x 8 bytes per distinct clip
-    that dies with the call, as training changes the parameters between
-    calls. Every episode gathers a copy of its rows from the cache, and
-    model.score_rows, as in score_episode, scores them.
+    once, in first-use order, on one forward-only tape, into a cache of L x D
+    x 8 bytes per distinct clip that dies with the call, as training changes
+    the parameters between calls. The clips go to enrich_block in chunks of
+    at most one episode's clip count and ENRICH_GROUP_BYTES of widened rows
+    (at least one clip), so one chunk's payloads are alive at a time, and
+    every chunk shares PLE's folds, formed once per call. Every episode
+    gathers a copy of its rows from the cache, and model.score_rows, as in
+    score_episode, scores them.
     """
     model.validate_against(params, config)
     shots, clips, labels, plan, ways = _plan(dataset, spec, n_episodes)
     tape = Tape(grad=False)
-    per_chunk = plan.shape[1]
+    clip_bytes = 8 * config.frames * config.patches * config.channels
+    per_chunk = min(plan.shape[1], max(1, ENRICH_GROUP_BYTES // clip_bytes))
+    folds = enrichment.ple_folds(tape, params.ple) if config.use_ple else None
     cache = np.empty((len(clips), config.frames, config.channels))
     for start in range(0, len(clips), per_chunk):
         chunk = clips[start:start + per_chunk]
         cache[start:start + len(chunk)] = model.enrich_block(
-            tape, chunk, params, config)[1].data.reshape(-1, config.frames, config.channels)
+            tape, chunk, params, config, folds=folds)[1].data.reshape(
+                -1, config.frames, config.channels)
     hits = np.empty(ways.shape, dtype=bool)
     for index, episode_ways, episode_hits in zip(plan, ways, hits):
         logits = model.score_rows(tape, Tensor(cache[index].reshape(-1, config.channels)),

@@ -8,9 +8,9 @@ from strm.diffcore import Param, ShapeError, Tape, Tensor, finite_diff_gradients
 from strm.enrichment import (fle_forward, fle_forward_batch,
                              init_fle_params, init_ple_params, ple_forward,
                              ple_folds, ple_forward_batch, ple_patch_diagnostics)
-from strm import enrichment, model
-from strm.episodes import FeatureClip
-from strm.model import ModelConfig, build_params, enrich_block
+from strm import enrichment, training
+from strm.episodes import ClipRecord, Episode, FeatureClip
+from strm.model import ModelConfig, build_params, enrich_block, forward_episode
 
 from test_diffcore import l2_norm
 
@@ -213,50 +213,32 @@ def test_pool_matches_bruteforce_mean():
     assert np.abs(pooled_raw(clips) - expected).max() <= 1e-12
 
 
-def test_pool_rejects_inconsistent_shapes(monkeypatch):
+def test_pool_rejects_inconsistent_shapes():
     with pytest.raises(ShapeError):
         pooled_raw([np.ones((2, 3, 3)), np.ones((3, 3, 3))])
-    # Clips whose patch counts differ are rejected even when each is its own
-    # group, where the pooled rows alone would join without complaint.
-    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^clip #1: shape \(2, 4, 3\) does not match "):
         pooled_raw([np.ones((2, 3, 3)), np.ones((2, 4, 3))])
-
-
-def count_group_joins(monkeypatch):
-    """Record the part count of every Tape.concat call: enrich_block joins its
-    groups' pooled rows with one concat, and only when there are several."""
-    joins = []
-    concat = Tape.concat
-
-    def counting(self, parts):
-        joins.append(len(parts))
-        return concat(self, parts)
-
-    monkeypatch.setattr(Tape, "concat", counting)
-    return joins
 
 
 @pytest.mark.parametrize("use_ple", [True, False])
 @pytest.mark.parametrize("use_fle", [True, False])
-def test_enrich_block_rows_independent_of_grouping(monkeypatch, use_ple, use_fle):
+def test_enrich_block_rows_independent_of_grouping(use_ple, use_fle):
     """Patch enrichment never crosses a frame and frame enrichment never
-    crosses a clip, so the rows are bit-identical whether the clips are
-    enriched as one group or three."""
+    crosses a clip, so enrich_block over all the clips gives, bit for bit,
+    the rows of per-chunk calls joined, which evaluate's cache relies on.
+    The chunks share one set of PLE folds, as evaluate's do."""
     rng = np.random.default_rng(18)
     cfg = ModelConfig(patches=16, channels=64, use_ple=use_ple, use_fle=use_fle,
                       use_qc=False)
     params = build_params(cfg)
-    clips = [rng.standard_normal((8, 16, 64)).astype(np.float32) for _ in range(7)]
-    joins = count_group_joins(monkeypatch)
-    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 8 * sum(c.size for c in clips))
-    whole = enrich_block(Tape(grad=False), in_memory(clips), params, cfg)
-    assert joins == []
-    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 3 * 8 * clips[0].size)
-    grouped = enrich_block(Tape(grad=False), in_memory(clips), params, cfg)
-    assert joins == [3]
-    for one, many in zip(whole, grouped):
-        assert np.array_equal(one.data, many.data)
+    clips = in_memory([rng.standard_normal((8, 16, 64)).astype(np.float32) for _ in range(7)])
+    whole = enrich_block(Tape(grad=False), clips, params, cfg)
+    tape = Tape(grad=False)
+    folds = ple_folds(tape, params.ple) if use_ple else None
+    chunks = [enrich_block(tape, clips[i:i + 3], params, cfg, folds=folds)
+              for i in range(0, len(clips), 3)]
+    for one, parts in zip(whole, zip(*chunks)):
+        assert np.array_equal(one.data, np.concatenate([part.data for part in parts]))
 
 
 # -- permutation structure ---------------------------------------------------
@@ -350,22 +332,25 @@ def test_pooled_ple_gradients_with_narrow_refiner():
     check_enrichment_gradients(frames=3, patches=4, channels=5, hidden=3)
 
 
-def test_grouped_enrich_block_gradients(monkeypatch):
-    """Clips enriched one per group share PLE's folds, whose gradients must
-    add up over the groups."""
+def test_a_recording_tape_enriches_an_episode_in_one_pass(monkeypatch):
+    """Training enriches an episode's clips in one ple_forward_batch call,
+    whatever evaluate's chunk budget (here one clip), and the episode loss's
+    gradients match central differences."""
     rng = np.random.default_rng(17)
-    cfg = ModelConfig(frames=4, patches=2, channels=3, refine_hidden=4, use_qc=False)
+    cfg = ModelConfig(frames=4, patches=2, channels=3, refine_hidden=4, embed_dim=4,
+                      use_qc=False)
     params = build_params(cfg)
-    clips = [rng.standard_normal((4, 2, 3)) for _ in range(3)]
-    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 8 * clips[0].size)
-    joins = count_group_joins(monkeypatch)
-
-    def build(tape):
-        pooled, enriched = enrich_block(tape, in_memory(clips), params, cfg)
-        return tape.add(l2_norm(tape, pooled), l2_norm(tape, enriched))
-
-    assert_gradients_match(build, params.ple.all() + params.fle.all())
-    assert joins[0] == 3
+    a, b, c = (ClipRecord(f"c{i}", i % 2, FeatureClip(rng.standard_normal((4, 2, 3))))
+               for i in range(3))
+    episode = Episode(class_labels=[0, 1], support=[[a], [b]], queries=[(c, 0)])
+    monkeypatch.setattr(training, "ENRICH_GROUP_BYTES", 8 * a.features.payload.size)
+    calls, ple = [], enrichment.ple_forward_batch
+    monkeypatch.setattr(enrichment, "ple_forward_batch",
+                        lambda *args: calls.append(args[1].shape) or ple(*args))
+    forward_episode(Tape(), episode, params, cfg)
+    assert calls == [(12, 2, 3)]
+    assert_gradients_match(lambda tape: forward_episode(tape, episode, params, cfg).loss,
+                           params.all())
 
 
 # -- shape contracts ---------------------------------------------------------------

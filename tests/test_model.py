@@ -2,7 +2,6 @@
 batched-vs-single enrichment equivalence, and the block-valued episode path
 against the per-clip one."""
 
-import math
 import re
 import tracemalloc
 import weakref
@@ -11,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strm import enrichment, episodes, matching, model
+from strm import episodes, matching, model
 from strm.diffcore import (ShapeError, Tape, Tensor, finite_diff_gradients, seeded_init,
                            zero_grads)
 from strm.enrichment import fle_forward, ple_forward
@@ -193,8 +192,8 @@ def test_a_group_the_config_enables_is_refused_by_name_before_any_clip_is_read(
 def test_a_clip_the_config_does_not_shape_is_refused_before_any_payload_is_read(
         tmp_path, monkeypatch, extents, shape, entry):
     """Clips must be [frames x patches x channels] as the config declares
-    them: a default config (4 patches) refuses 16-patch clips, naming both
-    shapes, before any payload is read."""
+    them: a default config (4 patches) refuses 16-patch clips, naming the
+    clip's file and both shapes, before any payload is read."""
     cfg = ModelConfig(seed=0)
     dataset = saved_and_loaded(tmp_path, **extents)
     spec = EpisodeSpec(ways=2, shots=1, seed=0)
@@ -205,8 +204,8 @@ def test_a_clip_the_config_does_not_shape_is_refused_before_any_payload_is_read(
     call = {"score_episode": lambda: score_episode(
                 Tape(grad=False), sample_episode(dataset, spec, 0), params, cfg),
             "evaluate": lambda: evaluate(dataset, params, cfg, spec, 2)}[entry]
-    with pytest.raises(ShapeError, match=rf"^clip shape {re.escape(shape)} does not match "
-                       r"config \[8 x 4 x 64\]$"):
+    with pytest.raises(ShapeError, match=rf"^{re.escape(str(tmp_path))}/[^/]+\.stfb: shape "
+                       rf"{re.escape(shape)} does not match config \[8 x 4 x 64\]$"):
         call()
     assert reads == []
 
@@ -472,43 +471,6 @@ def test_repeated_stacks_are_read_only_broadcast_views(monkeypatch):
     assert repeated(repeat) == [True] * 8
     copying = repeated(lambda tape, x, n: tape.reshape(tape.concat([x] * n), (n,) + x.shape))
     assert copying == [False] * 8
-
-
-def test_enrich_block_reads_one_group_of_payloads_at_a_time(tmp_path, monkeypatch):
-    """A loaded clip is read when its group is widened, and its payload dies
-    with the widening: while a group is patch-enriched, only that group's
-    payloads are alive (at eval-wide sizes one group's 1 MiB, not an
-    episode's 3.75 MiB)."""
-    rows = []
-    for record in generate_synthetic(SyntheticSpec(num_classes=2, clips_per_class=6,
-                                                   seed=1)).clips:
-        save_clip(record, tmp_path / f"{record.clip_id}.stfb")
-        rows.append((f"{record.clip_id}.stfb", record.label))
-    write_manifest(rows, tmp_path / "manifest.tsv")
-    clips = [record.features for record in load_dataset(tmp_path / "manifest.tsv").clips]
-    cfg = ModelConfig(seed=0)
-    params = build_params(cfg)
-    reads, events = [], []
-    reread, ple = episodes._reread, enrichment.ple_forward_batch
-
-    def logged_read(*args):
-        payload = reread(*args)
-        reads.append(weakref.ref(payload))
-        events.append("r")
-        return payload
-
-    def logged_ple(*args):
-        events.append(f"ple({sum(ref() is not None for ref in reads)} alive)")
-        return ple(*args)
-
-    monkeypatch.setattr(episodes, "_reread", logged_read)
-    monkeypatch.setattr(enrichment, "ple_forward_batch", logged_ple)
-    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 5 * 8 * math.prod(clips[0].shape))
-    _, grouped = model.enrich_block(Tape(grad=False), clips, params, cfg)
-    assert "".join(events) == "rrrrrple(0 alive)rrrrrple(0 alive)rrple(0 alive)"
-    monkeypatch.setattr(model, "ENRICH_GROUP_BYTES", 12 * 8 * math.prod(clips[0].shape))
-    _, whole = model.enrich_block(Tape(grad=False), clips, params, cfg)
-    assert whole.data.tobytes() == grouped.data.tobytes()
 
 
 @pytest.mark.parametrize("use_fle", [True, False])

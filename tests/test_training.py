@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strm import cli, episodes, model, training
+from strm import cli, enrichment, episodes, model, training
 from strm.diffcore import NumericalError, Param, Tape, Tensor, zero_grads
 from strm.episodes import ClipRecord, Dataset, EpisodeSpec, FeatureClip, SyntheticSpec, \
     filter_labels, generate_synthetic, load_clip, load_dataset, sample_episode, save_clip, \
@@ -509,7 +509,7 @@ def test_evaluate_peak_memory_within_a_few_episode_blocks():
     """One forward-only evaluate episode at P^2=16, D=64 peaks, by
     tracemalloc, at no more than 3.1 times the bytes of its widened clip
     block (30 clips x 8 frames x 16 patches x 64 channels in float64, one
-    enrichment group): the widest moment is PLE's first refiner layer, where
+    enrichment chunk): the widest moment is PLE's first refiner layer, where
     the block, the attention weights (a quarter block here) and three [rows x
     hidden] terms (half a block each) are alive. PLE's keys die as soon as
     the scores exist, the scores as soon as their softmax exists, the keys'
@@ -521,7 +521,7 @@ def test_evaluate_peak_memory_within_a_few_episode_blocks():
     params = build_params(cfg)
     spec = EpisodeSpec(ways=5, shots=5, seed=0)
     block_bytes = 5 * (5 + 1) * 8 * 16 * 64 * 8
-    assert block_bytes <= model.ENRICH_GROUP_BYTES
+    assert block_bytes <= training.ENRICH_GROUP_BYTES
     tracemalloc.start()
     try:
         evaluate(ds, params, cfg, spec, 1)
@@ -532,9 +532,9 @@ def test_evaluate_peak_memory_within_a_few_episode_blocks():
 
 
 def test_evaluate_peak_memory_flat_in_episode_ways():
-    """At P^2=64, D=64 a clip widens to 256 KiB, so an episode is enriched in
-    groups of 8 clips. Going from 5-way to 10-way (30 to 60 clips) leaves the
-    tracemalloc peak of one evaluate episode within 5%: the group's
+    """At P^2=64, D=64 a clip widens to 256 KiB, so evaluate enriches an
+    episode in chunks of 8 clips. Going from 5-way to 10-way (30 to 60 clips)
+    leaves the tracemalloc peak of one evaluate episode within 5%: the chunk's
     intermediates, and at 10-way matching's attention softmax, set it, not
     the clip count (one block per episode would double it)."""
 
@@ -551,7 +551,7 @@ def test_evaluate_peak_memory_flat_in_episode_ways():
         finally:
             tracemalloc.stop()
 
-    assert 8 * 8 * 64 * 64 * 8 <= model.ENRICH_GROUP_BYTES < 9 * 8 * 64 * 64 * 8
+    assert 8 * 8 * 64 * 64 * 8 <= training.ENRICH_GROUP_BYTES < 9 * 8 * 64 * 64 * 8
     five, ten = peak_bytes(5), peak_bytes(10)
     assert ten <= 1.05 * five, ten / five
 
@@ -706,6 +706,60 @@ def test_training_reads_each_episode_clip_once_and_each_eval_clip_once_per_call(
           params=params)
     eval_spec = replace(spec, seed=spec.seed + training._EVAL_SEED_OFFSET)
     assert sum(reads.values()) == 4 * 12 + 2 * len(distinct_clips(loaded, eval_spec, 10))
+
+
+def test_evaluate_reads_one_chunk_of_payloads_at_a_time(tmp_path, monkeypatch):
+    """evaluate reads a loaded clip when its chunk is widened, and the
+    payload dies with the widening: while a chunk is patch-enriched, only
+    that chunk's payloads are alive (at eval-wide sizes one chunk's 1 MiB,
+    not an episode's 3.75 MiB). The chunking leaves the report unchanged."""
+    rows = []
+    for record in generate_synthetic(SyntheticSpec(num_classes=2, clips_per_class=6,
+                                                   seed=1)).clips:
+        save_clip(record, tmp_path / f"{record.clip_id}.stfb")
+        rows.append((f"{record.clip_id}.stfb", record.label))
+    write_manifest(rows, tmp_path / "manifest.tsv")
+    loaded = load_dataset(tmp_path / "manifest.tsv")
+    cfg = ModelConfig(seed=0)
+    params = build_params(cfg)
+    spec = EpisodeSpec(ways=2, shots=5, seed=0)
+    whole = evaluate(loaded, params, cfg, spec, 1)
+    reads, events = [], []
+    reread, ple = episodes._reread, enrichment.ple_forward_batch
+
+    def logged_read(*args):
+        payload = reread(*args)
+        reads.append(weakref.ref(payload))
+        events.append("r")
+        return payload
+
+    def logged_ple(*args):
+        events.append(f"ple({sum(ref() is not None for ref in reads)} alive)")
+        return ple(*args)
+
+    monkeypatch.setattr(episodes, "_reread", logged_read)
+    monkeypatch.setattr(enrichment, "ple_forward_batch", logged_ple)
+    monkeypatch.setattr(training, "ENRICH_GROUP_BYTES",
+                        5 * 8 * math.prod(loaded.clips[0].features.shape))
+    assert evaluate(loaded, params, cfg, spec, 1) == whole
+    assert "".join(events) == "rrrrrple(0 alive)rrrrrple(0 alive)rrple(0 alive)"
+
+
+def test_evaluate_forms_the_ple_folds_once_per_call(monkeypatch):
+    """At P^2=16, D=256 a clip widens to 256 KiB, so a 5-way 5-shot episode's
+    30 clips are enriched in 4 chunks of at most 8, which share one set of
+    PLE folds: a fold per chunk would add ~0.66 ms each."""
+    ds = generate_synthetic(SyntheticSpec(num_classes=5, clips_per_class=6, frames=8,
+                                          patches=16, channels=256, seed=0))
+    cfg = ModelConfig(patches=16, channels=256, refine_hidden=32, embed_dim=32,
+                      use_qc=False, seed=0)
+    calls, folds, ple = [], enrichment.ple_folds, enrichment.ple_forward_batch
+    monkeypatch.setattr(enrichment, "ple_folds",
+                        lambda *args: calls.append("folds") or folds(*args))
+    monkeypatch.setattr(enrichment, "ple_forward_batch",
+                        lambda *args: calls.append("ple") or ple(*args))
+    evaluate(ds, build_params(cfg), cfg, EpisodeSpec(ways=5, shots=5, seed=0), 1)
+    assert calls == ["folds"] + ["ple"] * 4
 
 
 def reference_report(ds, params, cfg, spec, n_episodes):
