@@ -275,18 +275,7 @@ class Tape:
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul needs [m x k] by [k x n], got {a.shape} and {b.shape}")
-        out = Tensor(a.data @ b.data)
-        ka, kb = a.key, b.key
-        bd = b.data if a.needs_grad else None
-        ad = a.data if b.needs_grad else None
-
-        def backward(g, adj):
-            if bd is not None:
-                _accum(adj, ka, g @ bd.T)
-            if ad is not None:
-                _accum(adj, kb, ad.T @ g)
-
-        return self._record(out, backward, a, b)
+        return self._product(a, b)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -299,20 +288,6 @@ class Tape:
                 _accum(adj, ka, g)
             if grad_b:
                 _accum(adj, kb, g)
-
-        return self._record(out, backward, a, b)
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"sub needs matching shapes, got {a.shape} and {b.shape}")
-        out = Tensor(a.data - b.data)
-        ka, kb, grad_a, grad_b = a.key, b.key, a.needs_grad, b.needs_grad
-
-        def backward(g, adj):
-            if grad_a:
-                _accum(adj, ka, g)
-            if grad_b:
-                _accum(adj, kb, -g)
 
         return self._record(out, backward, a, b)
 
@@ -347,6 +322,11 @@ class Tape:
                 or a.shape[2] != b.shape[1]:
             raise ShapeError(f"bmm needs [B x m x k] by [B x k x n], "
                              f"got {a.shape} and {b.shape}")
+        return self._product(a, b)
+
+    def _product(self, a: Tensor, b: Tensor) -> Tensor:
+        """a @ b over the last two axes, for matmul and bmm once each has
+        checked its shapes; the adjoint keeps the other operand's array."""
         out = Tensor(a.data @ b.data)
         ka, kb = a.key, b.key
         bd = b.data if a.needs_grad else None

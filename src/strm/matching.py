@@ -279,7 +279,7 @@ def _trm_distances(
         # before the prototype product
         probs = tape.softmax_last(tape.bmm(tape.repeat(scaled, classes), keys_t[omega]))
         prototypes = tape.bmm(probs, values[omega])
-        diffs = tape.sub(tape.repeat(q_values[omega], classes), prototypes)
+        diffs = tape.add(prototypes, tape.repeat(tape.scale(q_values[omega], -1.0), classes))
         norms = tape.rows_l2norm(_rows(tape, diffs))
         dists.append(tape.mean(tape.reshape(norms, (classes, queries, len(tuples))), axis=2))
     return functools.reduce(tape.add, dists)

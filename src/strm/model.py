@@ -163,7 +163,7 @@ def infer_config(params: ModelParams, frames: int, patches: int,
         channels=channels,
         refine_hidden=(params.ple.refine1.value.shape[1] if params.ple else 1),
         embed_dim=first.key_proj.value.shape[1],
-        code_dim=(params.qc[omegas[0]].class_proj.value.shape[1] if params.qc else 1),
+        code_dim=next((h.class_proj.value.shape[1] for h in params.qc.values()), 1),
         omegas=omegas,
         use_ple=params.ple is not None,
         use_fle=params.fle is not None,

@@ -356,19 +356,22 @@ def test_eval_extent_mismatch_rejected(tmp_path, tiny_data, capsys):
     assert "ple.query_proj: extent mismatch" in capsys.readouterr().err
 
 
-def test_eval_refuses_a_checkpoint_lacking_a_group_it_enables(tmp_path, tiny_data, capsys):
-    """A checkpoint whose similarity head lacks one of its cardinalities is
-    refused by name with exit 2, not scored up to a bare KeyError."""
+@pytest.mark.parametrize("omega", [2, 3])
+def test_eval_refuses_a_checkpoint_lacking_a_group_it_enables(tmp_path, tiny_data, capsys,
+                                                             omega):
+    """A checkpoint whose similarity head lacks one of its cardinalities,
+    the first or a later one, is refused by name with exit 2, not scored or
+    read up to a bare KeyError."""
     params = build_params(ModelConfig(frames=4, patches=4, channels=8, refine_hidden=4,
                                       embed_dim=6, code_dim=4, omegas=(2, 3), seed=0))
-    del params.qc[3]
-    bad = tmp_path / "no_qc3.stck"
+    del params.qc[omega]
+    bad = tmp_path / f"no_qc{omega}.stck"
     save_checkpoint(params, bad)
     code = run(["eval", "--data", str(tiny_data), "--checkpoint", str(bad),
                 "--episodes", "4", "--ways", "2", "--shots", "1"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == \
-        "strm: parameters lack qc.3, which the config scores with\n"
+        f"strm: parameters lack qc.{omega}, which the config scores with\n"
 
 
 def test_eval_zero_episodes_exits_2_naming_the_count(tiny_data, tiny_checkpoint, capsys):

@@ -361,7 +361,6 @@ OP_SCENARIOS = {
     "transpose": lambda tape, p, c: tape.transpose(p[0].value),
     "transpose_last2": lambda tape, p, c: tape.transpose(p[2].value),
     "add": lambda tape, p, c: tape.add(p[0].value, p[0].value),
-    "sub": lambda tape, p, c: tape.sub(p[0].value, p[4].value),
     "scale": lambda tape, p, c: tape.scale(p[0].value, -1.7),
     "concat": lambda tape, p, c: tape.concat([p[0].value, p[4].value]),
     # two matrices along a new leading axis, as the tests stack them
@@ -404,7 +403,6 @@ OP_SCENARIOS = {
     "bmm1": lambda tape, p, c: tape.bmm(p[2].value, c[3]),
     "bmm2": lambda tape, p, c: tape.bmm(c[2], p[3].value),
     "add1": lambda tape, p, c: tape.add(c[0], p[0].value),
-    "sub1": lambda tape, p, c: tape.sub(c[0], p[4].value),
     "concat1": lambda tape, p, c: tape.concat([c[0], p[4].value, c[4]]),
     "cosine_matrix1": lambda tape, p, c: tape.cosine_matrix(p[0].value, c[4]),
     "cosine_matrix2": lambda tape, p, c: tape.cosine_matrix(c[0], p[4].value),
@@ -453,7 +451,6 @@ TAPE_SURFACE = {
     "backward": "(self, loss: 'Tensor', params: 'Iterable[Param]') -> 'None'",
     "matmul": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
     "add": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
-    "sub": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
     "scale": "(self, x: 'Tensor', s: 'float') -> 'Tensor'",
     "transpose": "(self, x: 'Tensor') -> 'Tensor'",
     "bmm": "(self, a: 'Tensor', b: 'Tensor') -> 'Tensor'",
