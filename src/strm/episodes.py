@@ -229,22 +229,32 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.frames < 2:
             raise ValueError(f"need at least 2 frames, got {self.frames}")
-        if self.motif_strength <= 0:
-            raise ValueError(f"motif_strength must be positive, got {self.motif_strength}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0.0 < self.motif_strength < math.inf:
+            raise ValueError(
+                f"motif_strength must be finite and positive, got {self.motif_strength}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
 
 
 # -- binary files: clips, and the reader and writer shared with checkpoints ---
 
 
 def save_clip(record: ClipRecord, path: str | Path) -> None:
+    """Write a clip file; a label outside u32 or a value that is not finite as
+    float32 is refused, naming the file, before anything is written."""
     if not 0 <= record.label < 1 << 32:
         raise ValueError(f"{path}: label {record.label} does not fit the file's u32 label")
     clip = record.features
+    payload = clip.payload
+    with np.errstate(over="ignore"):  # an overflow to inf is refused just below
+        values = np.ascontiguousarray(payload, dtype="<f4")
+    _refuse_nonfinite(values, path, ValueError, lambda _, i: (
+        "value {} at frame {}, patch {}, channel {} is not finite as float32".format(
+            payload.reshape(-1)[i], *np.unravel_index(i, clip.shape))))
     header = _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, record.label,
                           clip.frames, clip.patches, clip.channels)
-    write_atomic(path, [header, np.ascontiguousarray(clip.payload, dtype="<f4")])
+    write_atomic(path, [header, values])
 
 
 def load_clip(path: str | Path) -> ClipRecord:
@@ -317,7 +327,11 @@ def _reread(path: str, shape: tuple[int, int, int],
 
 
 def write_manifest(records: list[tuple[str, int]], path: str | Path) -> None:
-    """Write one `path<TAB>label` line per clip."""
+    """Write one `path<TAB>label` line per clip; a path that holds a TAB or
+    a line break, which would split its line, is refused."""
+    for rel, _ in records:
+        if "\t" in rel or "".join(rel.splitlines()) != rel:
+            raise ValueError(f"{path}: clip path {rel!r} holds a TAB or a line break")
     lines = [f"{rel}\t{label}\n" for rel, label in records]
     write_atomic(path, "".join(lines).encode("utf-8"))
 
@@ -349,10 +363,16 @@ def _read_array(fd: int, path: str | Path, offset: int, shape: tuple[int, ...], 
         if got == 0:
             raise errors[0](f"{path}: {truncated(done // values.itemsize)}")
         done += got
+    _refuse_nonfinite(values, path, errors[1], nonfinite)
+    return values
+
+
+def _refuse_nonfinite(values: np.ndarray, path: str | Path, error: type, describe) -> None:
+    """Raise `error` with `describe(value, flat index)` of the first
+    non-finite value, if `values` holds one."""
     if not np.isfinite(values).all():
         first = int(np.argmin(np.isfinite(values)))
-        raise errors[1](f"{path}: {nonfinite(values.reshape(-1)[first], first)}")
-    return values
+        raise error(f"{path}: {describe(values.reshape(-1)[first], first)}")
 
 
 def write_atomic(path: str | Path, data: bytes | list) -> None:

@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -83,8 +84,7 @@ def enumerate_tuples(frames: int, omegas: Sequence[int]) -> list[TupleIndex]:
     cardinality, in lexicographic order within each cardinality."""
     out: list[TupleIndex] = []
     for omega in omegas:
-        if not 1 <= omega <= frames:
-            raise ShapeError(f"tuple cardinality {omega} invalid for {frames} frames")
+        tuple_count(frames, omega)  # refuses a cardinality outside 1..frames
         out.extend(itertools.combinations(range(frames), omega))
     return out
 
@@ -103,22 +103,29 @@ def select_tuples(
 ) -> dict[int, list[TupleIndex]]:
     """Tuple sets per cardinality, optionally subsampled.
 
-    With keep_ratio 1.0 this is exactly the full lexicographic enumeration.
-    Otherwise the first ceil(keep_ratio * count) tuples of a seed-shuffled
-    ordering are kept, deterministically in (tuple_seed, cardinality).
+    keep_ratio must be a rational k/d in (0, 1] with d <= 100. At 1 this is
+    exactly the full lexicographic enumeration. Otherwise the first
+    ceil(k * count / d) tuples, counted exactly, of a seed-shuffled ordering
+    are kept, deterministically in (tuple_seed, cardinality).
     """
+    omegas = sorted(set(int(w) for w in omegas))
+    if not omegas:
+        raise ShapeError("need at least one tuple cardinality")
     if not 0.0 < keep_ratio <= 1.0:
-        raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+        raise ValueError(f"tuple_keep_ratio must be in (0, 1], got {keep_ratio}")
+    ratio = Fraction(keep_ratio).limit_denominator(100)
+    if abs(float(ratio) - keep_ratio) > 1e-12:
+        raise ValueError(f"tuple_keep_ratio must be a rational with denominator <= 100, "
+                         f"got {keep_ratio}")
     out: dict[int, list[TupleIndex]] = {}
-    for omega in sorted(set(int(w) for w in omegas)):
+    for omega in omegas:
         full = enumerate_tuples(frames, [omega])
-        if keep_ratio == 1.0:
+        if ratio == 1:
             out[omega] = full
             continue
         rng = np.random.default_rng([int(tuple_seed), omega])
         order = rng.permutation(len(full))
-        kept = math.ceil(keep_ratio * len(full))
-        out[omega] = [full[i] for i in order[:kept]]
+        out[omega] = [full[i] for i in order[:math.ceil(ratio * len(full))]]
     return out
 
 

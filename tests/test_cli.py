@@ -224,6 +224,28 @@ def test_synth_rejects_single_frame(tmp_path):
     assert run(["synth", "--out", str(tmp_path / "x"), "--frames", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag,value", [("--noise-sigma", "nan"),
+                                        ("--motif-strength", "inf"),
+                                        ("--motif-strength", "1e39")])
+def test_synth_refuses_values_its_clips_cannot_hold(tmp_path, capsys, flag, value):
+    """NaN noise and an infinite strength are refused by name before anything
+    is written; a strength of 1e39 is finite, but its clips overflow float32,
+    and save_clip refuses the first clip, naming the value, so no clip and no
+    manifest is left for load_dataset to refuse."""
+    out = tmp_path / "x"
+    assert run(["synth", "--out", str(out), "--classes", "2", "--clips", "2",
+                "--frames", "4", "--dim", "4", flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    if value == "1e39":
+        assert err.startswith(f"strm: {out}/clips/class000_clip000.stfb: value ")
+        assert err.endswith("e+39 at frame 0, patch 0, channel 0 is not finite as float32\n")
+        assert sorted(p.name for p in out.rglob("*")) == ["clips", "run_manifest.json"]
+    else:
+        rule = "finite and positive" if flag == "--motif-strength" else "finite and nonnegative"
+        assert err == f"strm: {flag[2:].replace('-', '_')} must be {rule}, got {float(value)}\n"
+        assert not out.exists()
+
+
 def test_synth_writes_manifest_first(tmp_path):
     out = tmp_path / "ds"
     assert run(["synth", "--out", str(out), "--classes", "2", "--clips", "2",
@@ -406,6 +428,20 @@ def test_train_refuses_a_bad_learning_rate_before_writing(tmp_path, tiny_data, c
                 "--lr", rate]) == EXIT_USAGE
     assert capsys.readouterr().err == \
         f"strm: learning_rate must be finite and nonnegative, got {float(rate)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "gradcheck"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "-0.5"])
+def test_model_commands_refuse_a_bad_lambda_before_writing(tmp_path, tiny_data, capsys,
+                                                           command, weight):
+    """A NaN --lambda would silently drop gradcheck's similarity head, and
+    fail train at episode 0 after its manifest is written."""
+    out = tmp_path / "t"
+    data = [] if command == "gradcheck" else ["--data", str(tiny_data)]
+    assert run([command, *data, "--out", str(out), "--lambda", weight]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"strm: qc_weight must be finite and nonnegative, got {float(weight)}\n"
     assert not out.exists()
 
 

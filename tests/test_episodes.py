@@ -5,6 +5,7 @@ import os
 import stat
 import struct
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -114,14 +115,14 @@ def test_nonfinite_payload_names_file_and_element(tmp_path, bad):
     record.features.values.data[2, 1, 0] = bad
     record.features.values.data[3, 0, 2] = np.nan
     path = tmp_path / "nan.stfb"
-    save_clip(record, path)
+    write_raw_clip(path, record.label, record.features.payload)
     with pytest.raises(NonFiniteClipError, match="frame 2, patch 1, channel 0") as info:
         load_clip(path)
     assert str(path) in str(info.value)
 
 
 def write_raw_clip(path, label, values):
-    """A clip file written byte by byte, for extents save_clip refuses."""
+    """A clip file written byte by byte, for extents or values save_clip refuses."""
     frames, patches, channels = values.shape
     path.write_bytes(struct.pack("<4sIIIII", b"STFB", 1, label, frames, patches, channels)
                      + values.astype("<f4").tobytes())
@@ -443,6 +444,35 @@ def test_save_clip_refuses_a_label_outside_u32(tmp_path, label):
         assert load_clip(path).label == kept
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+def test_save_clip_refuses_a_payload_not_finite_as_float32(tmp_path, value):
+    """A value the float32 payload cannot hold (1e39 overflows the cast) is
+    refused, naming the file, the value and its place, before any file is
+    written and without numpy's overflow warning."""
+    path = tmp_path / "a.stfb"
+    values = make_clip().features.payload.copy()
+    values[1, 0, 2] = value
+    record = ClipRecord(clip_id="a", label=0, features=FeatureClip(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            save_clip(record, path)
+    assert str(info.value) == \
+        f"{path}: value {value} at frame 1, patch 0, channel 2 is not finite as float32"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rel", ["a\tb.stfb", "a\nb.stfb", "a.stfb\r", "a\u2028b.stfb"])
+def test_write_manifest_refuses_a_path_that_splits_its_line(tmp_path, rel):
+    """load_dataset reads one `path<TAB>label` per line, so a path holding a
+    TAB or a line break is refused by name before the manifest is written."""
+    manifest = tmp_path / "manifest.tsv"
+    with pytest.raises(ValueError) as info:
+        write_manifest([("b.stfb", 0), (rel, 1)], manifest)
+    assert str(info.value) == f"{manifest}: clip path {rel!r} holds a TAB or a line break"
+    assert list(tmp_path.iterdir()) == []
+
+
 def replace_file(path):
     save_clip(make_clip(seed=1), path)
 
@@ -549,6 +579,20 @@ def test_generation_deterministic():
     for ca, cb in zip(a.clips, b.clips):
         assert ca.clip_id == cb.clip_id
         assert np.array_equal(ca.features.values.data, cb.features.values.data)
+
+
+@pytest.mark.parametrize("field,value,rule", [
+    ("motif_strength", np.nan, "finite and positive"),
+    ("motif_strength", np.inf, "finite and positive"),
+    ("motif_strength", 0.0, "finite and positive"),
+    ("noise_sigma", np.nan, "finite and nonnegative"),
+    ("noise_sigma", np.inf, "finite and nonnegative"),
+    ("noise_sigma", -0.1, "finite and nonnegative"),
+])
+def test_synthetic_spec_refuses_a_non_finite_strength_or_noise(field, value, rule):
+    with pytest.raises(ValueError) as info:
+        SyntheticSpec(**{field: value})
+    assert str(info.value) == f"{field} must be {rule}, got {value}"
 
 
 def test_frames_below_two_rejected():

@@ -13,6 +13,7 @@ from strm.matching import (check_class_sizes, embed_class_supports,
                            enumerate_tuples, init_qc_params, init_trm_params,
                            project_tuples, qc_logits, qc_similarity,
                            select_tuples, trm_distance, trm_logits, tuple_count)
+from strm.model import ModelConfig
 
 
 def seed_for(name):
@@ -187,14 +188,20 @@ def test_subsample_ratio_one_is_identity():
     assert full[2] == enumerate_tuples(8, [2])
 
 
-def test_subsample_deterministic_and_sized():
-    a = select_tuples(8, [2], keep_ratio=0.2, tuple_seed=3)
-    b = select_tuples(8, [2], keep_ratio=0.2, tuple_seed=3)
+# ceil(k * count / d) for a ratio k/d, counted exactly: 29/56 of 56 triples
+# and 9/28 of 84 keep 29 and 27, where a float product would round up to 30 and 28
+@pytest.mark.parametrize("frames,omega,ratio,kept",
+                         [(8, 2, 0.2, 6), (8, 3, 29 / 56, 29), (9, 3, 9 / 28, 27)])
+def test_subsample_deterministic_and_sized(frames, omega, ratio, kept):
+    a = select_tuples(frames, [omega], keep_ratio=ratio, tuple_seed=3)
+    b = select_tuples(frames, [omega], keep_ratio=ratio, tuple_seed=3)
     assert a == b
-    assert len(a[2]) == math.ceil(0.2 * 28)
-    c = select_tuples(8, [2], keep_ratio=0.2, tuple_seed=4)
+    assert len(a[omega]) == kept
+    c = select_tuples(frames, [omega], keep_ratio=ratio, tuple_seed=4)
     assert a != c
-    assert set(a[2]) <= set(enumerate_tuples(8, [2]))
+    assert set(a[omega]) <= set(enumerate_tuples(frames, [omega]))
+    config = ModelConfig(frames=frames, omegas=(omega,), tuple_keep_ratio=ratio)
+    assert len(config.tuple_sets()[omega]) == kept
 
 
 # -- distances ----------------------------------------------------------------------

@@ -52,6 +52,14 @@ def test_config_validation():
         ModelConfig(tuple_keep_ratio=1.5)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.1])
+def test_config_refuses_a_non_finite_or_negative_qc_weight(weight):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"qc_weight must be finite and nonnegative, got {weight}") + "$"):
+        ModelConfig(qc_weight=weight)
+    assert ModelConfig(qc_weight=0.0).qc_weight == 0.0
+
+
 def test_keep_ratio_must_be_small_denominator_rational():
     ModelConfig(tuple_keep_ratio=0.2)  # 1/5
     ModelConfig(tuple_keep_ratio=0.25)  # 1/4
