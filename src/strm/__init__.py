@@ -13,7 +13,7 @@ from .diffcore import (NumericalError, Param, ShapeError, Tape, Tensor,
 from .enrichment import FLEParams, PLEParams, fle_forward, ple_forward
 from .episodes import (ClipRecord, Dataset, Episode, EpisodeSpec, FeatureClip,
                        SyntheticSpec, generate_synthetic, load_clip,
-                       load_dataset, sample_episode, save_clip)
+                       load_dataset, sample_episode, save_clip, save_dataset)
 from .matching import (QCParams, TupleEmbedParams, enumerate_tuples,
                        qc_logits, qc_similarity, select_tuples, trm_distance,
                        trm_logits)
@@ -29,7 +29,7 @@ __all__ = [
     "FLEParams", "PLEParams", "fle_forward", "ple_forward",
     "ClipRecord", "Dataset", "Episode", "EpisodeSpec", "FeatureClip",
     "SyntheticSpec", "generate_synthetic", "load_clip", "load_dataset",
-    "sample_episode", "save_clip",
+    "sample_episode", "save_clip", "save_dataset",
     "QCParams", "TupleEmbedParams", "enumerate_tuples", "qc_logits",
     "qc_similarity", "select_tuples", "trm_distance", "trm_logits",
     "ModelConfig", "ModelParams", "build_params", "forward_episode",

@@ -24,7 +24,7 @@ from .diffcore import NumericalError, ShapeError
 from .enrichment import ple_patch_diagnostics
 from .episodes import (ClipFormatError, Dataset, EpisodeSpec, SyntheticSpec,
                        filter_labels, generate_synthetic, load_clip,
-                       load_dataset, sample_episode, save_clip, write_atomic, write_manifest)
+                       load_dataset, sample_episode, save_dataset, write_atomic)
 from .matching import tuple_count
 from .model import ModelConfig, build_params, infer_config, params_from_arrays
 from .training import (CheckpointFormatError, TrainConfig, evaluate,
@@ -149,15 +149,8 @@ def cmd_synth(args) -> int:
     _write_run_manifest(outdir, "synth", args, {
         "manifest": "manifest.tsv", "clips": "clips/"})
     dataset = generate_synthetic(spec)
-    clip_dir = outdir / "clips"
-    clip_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for record in dataset.clips:
-        rel = f"clips/{record.clip_id}.stfb"
-        save_clip(record, outdir / rel)
-        rows.append((rel, record.label))
-    write_manifest(rows, outdir / "manifest.tsv")
-    print(f"wrote {len(rows)} clips under {outdir}")
+    save_dataset(dataset, outdir)
+    print(f"wrote {len(dataset.clips)} clips under {outdir}")
     return EXIT_OK
 
 

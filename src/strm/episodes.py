@@ -35,6 +35,7 @@ __all__ = [
     "SyntheticSpec",
     "save_clip",
     "load_clip",
+    "save_dataset",
     "write_manifest",
     "write_atomic",
     "load_dataset",
@@ -243,6 +244,12 @@ class SyntheticSpec:
 def save_clip(record: ClipRecord, path: str | Path) -> None:
     """Write a clip file; a label outside u32 or a value that is not finite as
     float32 is refused, naming the file, before anything is written."""
+    write_atomic(path, _clip_chunks(record, path))
+
+
+def _clip_chunks(record: ClipRecord, path: str | Path) -> list:
+    """The header and the float32 payload of `record`'s clip file at `path`,
+    refused as save_clip refuses them."""
     if not 0 <= record.label < 1 << 32:
         raise ValueError(f"{path}: label {record.label} does not fit the file's u32 label")
     clip = record.features
@@ -252,9 +259,30 @@ def save_clip(record: ClipRecord, path: str | Path) -> None:
     _refuse_nonfinite(values, path, ValueError, lambda _, i: (
         "value {} at frame {}, patch {}, channel {} is not finite as float32".format(
             payload.reshape(-1)[i], *np.unravel_index(i, clip.shape))))
-    header = _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, record.label,
-                          clip.frames, clip.patches, clip.channels)
-    write_atomic(path, [header, values])
+    return [_HEADER.pack(CLIP_MAGIC, CLIP_VERSION, record.label,
+                         clip.frames, clip.patches, clip.channels), values]
+
+
+def save_dataset(dataset: Dataset, root: str | Path) -> Path:
+    """Write each clip to root/clips/<clip_id>.stfb and list them in
+    root/manifest.tsv, whose path is returned. Every clip, clip id and
+    manifest line is checked, with save_clip's and write_manifest's refusals,
+    before any file is written, so a refused set leaves `root` as it was; a
+    write that fails part way (a full disk) can still leave a mix. One clip's
+    payload is held at a time."""
+    root = Path(root)
+    manifest = root / "manifest.tsv"
+    rows = [(f"clips/{c.clip_id}.stfb", c.label) for c in dataset.clips]
+    listing = _manifest_bytes(rows, manifest)
+    for c, (rel, _) in zip(dataset.clips, rows):
+        if Path(rel).parent != Path("clips") or Path(rel).stem != c.clip_id or "\0" in rel:
+            raise ValueError(f"{root}: clip id {c.clip_id!r} is not a file stem")
+        _clip_chunks(c, root / rel)
+    (root / "clips").mkdir(parents=True, exist_ok=True)
+    for c, (rel, _) in zip(dataset.clips, rows):
+        save_clip(c, root / rel)
+    write_atomic(manifest, listing)
+    return manifest
 
 
 def load_clip(path: str | Path) -> ClipRecord:
@@ -329,11 +357,14 @@ def _reread(path: str, shape: tuple[int, int, int],
 def write_manifest(records: list[tuple[str, int]], path: str | Path) -> None:
     """Write one `path<TAB>label` line per clip; a path that holds a TAB or
     a line break, which would split its line, is refused."""
+    write_atomic(path, _manifest_bytes(records, path))
+
+
+def _manifest_bytes(records: list[tuple[str, int]], path: str | Path) -> bytes:
     for rel, _ in records:
         if "\t" in rel or "".join(rel.splitlines()) != rel:
             raise ValueError(f"{path}: clip path {rel!r} holds a TAB or a line break")
-    lines = [f"{rel}\t{label}\n" for rel, label in records]
-    write_atomic(path, "".join(lines).encode("utf-8"))
+    return "".join(f"{rel}\t{label}\n" for rel, label in records).encode("utf-8")
 
 
 def _check_header(fd: int, path: str | Path, layout: struct.Struct, magic: bytes,

@@ -220,6 +220,23 @@ def test_synth_failing_midway_keeps_previous_files(tmp_path, monkeypatch):
     assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
+def test_a_refused_synth_leaves_the_earlier_set_as_it_was(tmp_path, capsys):
+    """A synth refused at its 27th clip, over an earlier set in the same
+    directory, writes no clip and no manifest: the earlier set stays whole
+    rather than a mix of old and new clips that load_dataset would accept."""
+    out = tmp_path / "ds"
+    flags = ["synth", "--out", str(out), "--classes", "2", "--clips", "50", "--frames", "2",
+             "--patches", "1", "--dim", "4", "--seed", "1", "--noise-sigma"]
+    assert run(flags + ["8e37"]) == EXIT_OK
+    before = tree_digest(out)
+    assert len(before) == 101
+    capsys.readouterr()
+    assert run(flags + ["1.2e38"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"strm: {out}/clips/class000_clip026.stfb: value ")
+    assert tree_digest(out) == before
+
+
 def test_synth_rejects_single_frame(tmp_path):
     assert run(["synth", "--out", str(tmp_path / "x"), "--frames", "1"]) == EXIT_USAGE
 
@@ -239,7 +256,7 @@ def test_synth_refuses_values_its_clips_cannot_hold(tmp_path, capsys, flag, valu
     if value == "1e39":
         assert err.startswith(f"strm: {out}/clips/class000_clip000.stfb: value ")
         assert err.endswith("e+39 at frame 0, patch 0, channel 0 is not finite as float32\n")
-        assert sorted(p.name for p in out.rglob("*")) == ["clips", "run_manifest.json"]
+        assert sorted(p.name for p in out.rglob("*")) == ["run_manifest.json"]
     else:
         rule = "finite and positive" if flag == "--motif-strength" else "finite and nonnegative"
         assert err == f"strm: {flag[2:].replace('-', '_')} must be {rule}, got {float(value)}\n"

@@ -7,6 +7,7 @@ import struct
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from strm.episodes import (BadMagicError, ClipFormatError, ClipRecord, Dataset, 
                            TruncatedPayloadError, VersionMismatchError,
                            filter_labels, generate_synthetic,
                            load_clip, load_dataset, sample_episode, save_clip,
-                           write_atomic, write_manifest)
+                           save_dataset, write_atomic, write_manifest)
 
 
 def make_clip(label=3, frames=4, patches=2, channels=3, seed=0):
@@ -192,6 +193,63 @@ def test_manifest_roundtrip(tmp_path):
     ds = load_dataset(tmp_path / "manifest.tsv")
     assert len(ds.clips) == 4
     assert sorted(ds.labels) == [0, 1, 2, 3]
+
+
+def file_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_save_dataset_round_trips_ids_labels_and_float32_bytes(tmp_path):
+    ds = generate_synthetic(SyntheticSpec(num_classes=3, clips_per_class=4, frames=4,
+                                          patches=2, channels=3, seed=5))
+    manifest = save_dataset(ds, tmp_path / "set")
+    assert manifest == tmp_path / "set" / "manifest.tsv"
+    loaded = load_dataset(manifest)
+    assert [(c.clip_id, c.label) for c in loaded.clips] == \
+        [(c.clip_id, c.label) for c in ds.clips]
+    assert [c.features.payload.tobytes() for c in loaded.clips] == \
+        [c.features.payload.astype("<f4").tobytes() for c in ds.clips]
+    assert sorted(file_bytes(tmp_path / "set")) == sorted(
+        [Path("manifest.tsv")] + [Path("clips", f"{c.clip_id}.stfb") for c in ds.clips])
+    save_dataset(loaded, tmp_path / "again")
+    assert file_bytes(tmp_path / "again") == file_bytes(tmp_path / "set")
+
+
+def last_clip_made_bad(last, case, root):
+    """A record in place of `last` that save_dataset refuses, and the refusal."""
+    if case == "label":
+        return (ClipRecord(last.clip_id, 1 << 32, last.features),
+                f"{root}/clips/{last.clip_id}.stfb: label {1 << 32} does not fit "
+                f"the file's u32 label")
+    if case == "value":
+        values = last.features.payload.copy()
+        values[1, 0, 2] = 1e39
+        return (ClipRecord(last.clip_id, last.label, FeatureClip(values)),
+                f"{root}/clips/{last.clip_id}.stfb: value 1e+39 at frame 1, patch 0, "
+                f"channel 2 is not finite as float32")
+    if case == "tab":
+        return (ClipRecord("a\tb", last.label, last.features),
+                f"{root}/manifest.tsv: clip path 'clips/a\\tb.stfb' holds a TAB or a line break")
+    return (ClipRecord(case, last.label, last.features),
+            f"{root}: clip id {case!r} is not a file stem")
+
+
+@pytest.mark.parametrize("case", ["label", "value", "tab", "a/b", "../b", "", "a\0b"])
+def test_save_dataset_refuses_a_set_before_it_writes_any_file(tmp_path, case):
+    """Every clip, clip id and manifest line is checked before the first
+    write: a set refused at its last clip leaves the earlier set's clips and
+    manifest byte for byte, where writing clip by clip would have replaced
+    all the others."""
+    root = tmp_path / "set"
+    spec = dict(num_classes=2, clips_per_class=3, frames=4, patches=2, channels=3)
+    save_dataset(generate_synthetic(SyntheticSpec(**spec, seed=0)), root)
+    before = file_bytes(root)
+    clips = generate_synthetic(SyntheticSpec(**spec, seed=1)).clips
+    bad, message = last_clip_made_bad(clips[-1], case, root)
+    with pytest.raises(ValueError) as info:
+        save_dataset(Dataset(clips[:-1] + [bad]), root)
+    assert str(info.value) == message
+    assert file_bytes(root) == before
 
 
 def test_clip_and_manifest_writes_failing_midway_keep_previous_files(tmp_path, monkeypatch):

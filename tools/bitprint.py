@@ -12,10 +12,11 @@ compute the same bits on the machine and BLAS build that ran them.
     python tools/bitprint.py --episodes 4   # a quicker sweep
 
 The configs are omega=2, omega={2,3}, keep-ratio 0.2 and "loaded": omega=2
-on the clip set saved as .stfb files and loaded back with load_dataset, so
-that its float32 payloads are read from the files each episode. The stages
-are all on, all off and PLE+QC. OPENBLAS_NUM_THREADS must be set before numpy
-loads, so each thread count runs in its own subprocess.
+on the clip set written under clips/ by save_dataset and loaded back with
+load_dataset, so that its float32 payloads are read from the files each
+episode. The stages are all on, all off and PLE+QC. OPENBLAS_NUM_THREADS
+must be set before numpy loads, so each thread count runs in its own
+subprocess.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from strm.diffcore import Tape  # noqa: E402
 from strm.enrichment import ple_patch_diagnostics  # noqa: E402
-from strm.episodes import (Dataset, EpisodeSpec, SyntheticSpec,  # noqa: E402
-                           generate_synthetic, load_dataset, sample_episode, save_clip,
-                           write_manifest)
+from strm.episodes import (EpisodeSpec, SyntheticSpec, generate_synthetic,  # noqa: E402
+                           load_dataset, sample_episode, save_dataset)
 from strm.model import ModelConfig, build_params, forward_episode  # noqa: E402
 from strm.training import evaluate, mean_pool_baseline, sgd_step  # noqa: E402
 
@@ -80,23 +80,12 @@ def row_digest(config: ModelConfig, dataset, episodes: int) -> str:
     return h.hexdigest()
 
 
-def saved_and_loaded(dataset: Dataset, root: Path) -> Dataset:
-    """The clip set written to `root` with save_clip and write_manifest, as
-    load_dataset returns it."""
-    rows = []
-    for record in dataset.clips:
-        save_clip(record, root / f"{record.clip_id}.stfb")
-        rows.append((f"{record.clip_id}.stfb", record.label))
-    write_manifest(rows, root / "manifest.tsv")
-    return load_dataset(root / "manifest.tsv")
-
-
 def sweep(episodes: int) -> list[tuple[str, str, str]]:
     """(config, stages, sha256) for every row, at this process's BLAS threads."""
     dataset = generate_synthetic(SyntheticSpec(num_classes=6, clips_per_class=10, seed=0))
     with tempfile.TemporaryDirectory() as root:
         datasets = dict.fromkeys(CONFIGS, dataset)
-        datasets["loaded"] = saved_and_loaded(dataset, Path(root))
+        datasets["loaded"] = load_dataset(save_dataset(dataset, root))
         return [(config, stages, row_digest(ModelConfig(seed=0, **CONFIGS[config],
                                                         **STAGES[stages]),
                                             datasets[config], episodes))
