@@ -191,9 +191,14 @@ def zero_grads(params: Iterable[Param]) -> None:
         p.zero_grad()
 
 
-def _accum(adj: dict[int, np.ndarray], key: int, g: np.ndarray) -> None:
+def _accum(adj: dict[int, np.ndarray | Param], key: int, g: np.ndarray) -> None:
+    """Add adjoint g under key: in place into the grad buffer of a Param
+    that backward listed under it, else into the dict."""
     prior = adj.get(key)
-    adj[key] = g if prior is None else prior + g
+    if isinstance(prior, Param):
+        prior.grad += g
+    else:
+        adj[key] = g if prior is None else prior + g
 
 
 def _need_rank(t: Tensor, rank: int, op: str) -> None:
@@ -244,10 +249,17 @@ class Tape:
     def backward(self, loss: Tensor, params: Iterable[Param]) -> None:
         """Accumulate d(loss)/d(param) into each param's grad buffer.
 
-        Gradients add across calls; callers zero them explicitly. Adjoints
-        toward inputs that need no grad are never formed. The pass pops each
-        node as it runs it, so memory falls as it goes and a second call on
-        the same tape raises RuntimeError.
+        Each param's gradient is summed in its own grad buffer, one
+        contribution at a time as the pass reaches it, so backward holds no
+        parameter-sized adjoint of its own. Gradients add across calls;
+        callers zero them explicitly. From a zero buffer the result is bit
+        for bit that of adding the whole adjoint at the end; a buffer that
+        already holds a gradient (accumulation over episodes) takes each
+        contribution separately, which reassociates that sum. A params
+        list that names one value tensor twice raises ValueError before any
+        node runs. Adjoints toward inputs that need no grad are never
+        formed. The pass pops each node as it runs it, so memory falls as it
+        goes and a second call on the same tape raises RuntimeError.
         """
         if not self._grad:
             raise RuntimeError("backward called on a forward-only tape "
@@ -257,18 +269,20 @@ class Tape:
                                "differentiated (its nodes are released)")
         if loss.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        adj: dict[int, np.ndarray | Param] = {}
+        for p in params:
+            if p.value.key in adj:
+                raise ValueError(f"backward lists {adj[p.value.key]!r} and {p!r}, "
+                                 f"which share one value tensor")
+            adj[p.value.key] = p
         self._spent = True
-        adj: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=np.float64)}
+        _accum(adj, loss.key, np.ones((), dtype=np.float64))
         nodes = self._nodes
         while nodes:
             key, backward = nodes.pop()
             g = adj.pop(key, None)
             if g is not None:
                 backward(g, adj)
-        for p in params:
-            g = adj.get(p.value.key)
-            if g is not None:
-                p.grad += g
 
     # -- binary ops ---------------------------------------------------------
 

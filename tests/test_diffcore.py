@@ -6,6 +6,7 @@ import inspect
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import zlib
@@ -536,6 +537,29 @@ def test_gradient_accumulation_is_additive():
     backward_once(x1)
     backward_once(x2)
     assert np.array_equal(w.grad, g1 + g2)
+
+
+def test_a_loss_that_is_a_param_value_adds_one_to_its_grad():
+    w = as_param("w", 2.5)
+    w.grad += 0.25
+    Tape().backward(w.value, [w])
+    assert w.grad.shape == () and w.grad == 1.25
+
+
+@pytest.mark.parametrize("same_param", [True, False])
+def test_backward_refuses_a_value_tensor_listed_twice(same_param):
+    """One Param listed twice, or two Params over one Tensor, is refused by
+    both names before any node runs; the tape stays differentiable."""
+    w = as_param("w", [[1.0, -2.0], [3.0, 0.5]])
+    other = w if same_param else Param("w_alias", w.value)
+    x = Tensor([[0.5, 1.0], [2.0, -1.0]])
+    tape = Tape()
+    loss = l2_norm(tape, tape.matmul(x, w.value))
+    with pytest.raises(ValueError, match=re.escape(f"{w!r} and {other!r}")):
+        tape.backward(loss, [w, other])
+    assert w._grad is None and other._grad is None
+    tape.backward(loss, [w])
+    assert np.abs(w.grad).sum() > 0
 
 
 def test_gradient_buffer_is_allocated_on_first_read():
