@@ -2,8 +2,10 @@
 checking, tuple combinatorics, ablation sweeps, and attention-grid export.
 
 Every command with an output directory writes a run manifest (resolved flags,
-seeds, output paths) before computing anything. Exit codes: 0 success,
-2 usage/config error, 3 I/O error, 4 numerical failure.
+seeds, output paths and, for the model commands, the model config that runs)
+before computing anything. Flags that mirror a library setting take their
+default from it. Exit codes: 0 success, 2 usage/config error, 3 I/O error,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ _GRADCHECK_PARAM_CAP = 100_000
 
 
 def _write_run_manifest(outdir: Path, command: str, args: argparse.Namespace,
-                        outputs: dict[str, str]) -> None:
+                        outputs: dict[str, str], config: ModelConfig | None = None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     payload = {
@@ -50,6 +52,8 @@ def _write_run_manifest(outdir: Path, command: str, args: argparse.Namespace,
         "resolved": resolved,
         "outputs": outputs,
     }
+    if config is not None:
+        payload["model"] = dataclasses.asdict(config)
     write_atomic(outdir / "run_manifest.json",
                  (json.dumps(payload, indent=2, default=str) + "\n").encode("utf-8"))
 
@@ -162,7 +166,7 @@ def cmd_train(args) -> int:
         args, args.eval_every, args.eval_episodes)
     outdir = Path(args.out)
     _write_run_manifest(outdir, "train", args, {
-        "checkpoint": "checkpoint.stck", "metrics": "metrics.tsv"})
+        "checkpoint": "checkpoint.stck", "metrics": "metrics.tsv"}, config)
 
     def progress(row):
         print(f"episode {row.episode}: accuracy {row.accuracy:.4f} "
@@ -184,7 +188,7 @@ def cmd_eval(args) -> int:
                           channels=dataset.channels, tuple_keep_ratio=args.keep_ratio,
                           tuple_seed=args.tuple_seed)
     if args.out:
-        _write_run_manifest(Path(args.out), "eval", args, {"report": "report.json"})
+        _write_run_manifest(Path(args.out), "eval", args, {"report": "report.json"}, config)
     report = evaluate(dataset, params, config, _episode_spec(args, args.seed),
                       args.episodes)
     print(f"accuracy {report.accuracy:.4f} +/- {report.ci95_halfwidth:.4f} "
@@ -217,7 +221,8 @@ def cmd_gradcheck(args) -> int:
                        seed=args.seed)
     episode = sample_episode(dataset, spec, 0)
     if args.out:
-        _write_run_manifest(Path(args.out), "gradcheck", args, {"table": "gradcheck.tsv"})
+        _write_run_manifest(Path(args.out), "gradcheck", args, {"table": "gradcheck.tsv"},
+                            config)
     rows = gradcheck_model(config, episode, step=args.step,
                            threshold=args.threshold, params=params)
     width = max(len(r.name) for r in rows)
@@ -254,7 +259,7 @@ def cmd_ablate(args) -> int:
     dataset, eval_dataset, config, train_config, spec = _train_inputs(
         args, max(args.episodes, 1), 1)
     outdir = Path(args.out)
-    _write_run_manifest(outdir, "ablate", args, {"table": "ablation.tsv"})
+    _write_run_manifest(outdir, "ablate", args, {"table": "ablation.tsv"}, config)
 
     def progress(name, report):
         print(f"{name}: accuracy {report.accuracy:.4f} "
@@ -323,23 +328,26 @@ def cmd_attn_export(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--refine-hidden", type=int, default=32,
+    p.add_argument("--refine-hidden", type=int, default=ModelConfig.refine_hidden,
                    help="width of the patch refiner's hidden layers")
-    p.add_argument("--embed-dim", type=int, default=64,
+    p.add_argument("--embed-dim", type=int, default=ModelConfig.embed_dim,
                    help="tuple key/value embedding width")
-    p.add_argument("--code-dim", type=int, default=64,
+    p.add_argument("--code-dim", type=int, default=ModelConfig.code_dim,
                    help="tuple code width for the similarity head")
-    p.add_argument("--omega", default="2",
-                   help="tuple cardinalities, comma separated (default 2)")
-    p.add_argument("--lambda", dest="qc_weight", type=float, default=0.1,
+    p.add_argument("--omega", default=",".join(map(str, ModelConfig.omegas)),
+                   help="tuple cardinalities, comma separated (default %(default)s)")
+    p.add_argument("--lambda", dest="qc_weight", type=float, default=ModelConfig.qc_weight,
                    help="weight of the similarity-head loss term")
-    p.add_argument("--no-ple", action="store_true", help="disable patch enrichment")
-    p.add_argument("--no-fle", action="store_true", help="disable frame enrichment")
-    p.add_argument("--no-qc", action="store_true", help="disable the similarity head")
-    p.add_argument("--keep-ratio", type=float, default=1.0,
-                   help="fraction of tuples retained per cardinality")
-    p.add_argument("--tuple-seed", type=int, default=0,
-                   help="seed for the tuple subsampling order")
+
+
+def _add_tuple_flags(p: argparse.ArgumentParser) -> None:
+    """The tuple subsampling flags of train, ablate and eval. Eval must use
+    training's, which the train run manifest records as
+    model.tuple_keep_ratio and model.tuple_seed."""
+    p.add_argument("--keep-ratio", type=float, default=ModelConfig.tuple_keep_ratio,
+                   help="fraction of tuples kept per cardinality; eval needs training's")
+    p.add_argument("--tuple-seed", type=int, default=ModelConfig.tuple_seed,
+                   help="seed for the tuple subsampling order; eval needs training's")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -348,26 +356,31 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_episode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ways", type=int, default=5)
-    p.add_argument("--shots", type=int, default=5)
-    p.add_argument("--queries", type=int, default=1,
+    p.add_argument("--ways", type=int, default=EpisodeSpec.ways)
+    p.add_argument("--shots", type=int, default=EpisodeSpec.shots)
+    p.add_argument("--queries", type=int, default=EpisodeSpec.queries_per_class,
                    help="queries per sampled class per episode")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """Everything train and ablate share: data and eval split, output
-    directory, seed, model, optimizer and episode layout."""
+    directory, seed, model, stage toggles, tuples, optimizer and episode
+    layout."""
     _add_data_flags(p)
     p.add_argument("--eval-data", default=None,
                    help="dataset to evaluate on (default: --data)")
     p.add_argument("--eval-labels", default=None,
                    help="restrict eval classes, e.g. 10-14")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
     _add_model_flags(p)
-    p.add_argument("--episodes", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--accumulate-every", type=int, default=1,
+    p.add_argument("--no-ple", action="store_true", help="disable patch enrichment")
+    p.add_argument("--no-fle", action="store_true", help="disable frame enrichment")
+    p.add_argument("--no-qc", action="store_true", help="disable the similarity head")
+    _add_tuple_flags(p)
+    p.add_argument("--episodes", type=int, default=TrainConfig.episodes)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--accumulate-every", type=int, default=TrainConfig.accumulate_every,
                    help="episodes per optimizer step (gradients are averaged)")
     _add_episode_flags(p)
 
@@ -382,21 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic order-sensitive dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=15)
-    p.add_argument("--clips", type=int, default=20)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--patches", type=int, default=2,
+    p.add_argument("--classes", type=int, default=SyntheticSpec.num_classes)
+    p.add_argument("--clips", type=int, default=SyntheticSpec.clips_per_class)
+    p.add_argument("--frames", type=int, default=SyntheticSpec.frames)
+    p.add_argument("--patches", type=int, default=math.isqrt(SyntheticSpec.patches),
                    help="patch grid side P; clips carry P^2 patches per frame")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--motif-strength", type=float, default=0.1)
-    p.add_argument("--noise-sigma", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=SyntheticSpec.channels)
+    p.add_argument("--motif-strength", type=float, default=SyntheticSpec.motif_strength)
+    p.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="episodic training on a dataset")
     _add_train_flags(p)
-    p.add_argument("--eval-every", type=int, default=250)
-    p.add_argument("--eval-episodes", type=int, default=200)
+    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    p.add_argument("--eval-episodes", type=int, default=TrainConfig.eval_episodes)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -405,10 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--episodes", type=int, default=1000)
     _add_episode_flags(p)
-    p.add_argument("--keep-ratio", type=float, default=1.0,
-                   help="must match the value used at training time")
-    p.add_argument("--tuple-seed", type=int, default=0,
-                   help="must match the value used at training time")
+    _add_tuple_flags(p)
     p.add_argument("--seed", type=int, default=12345)
     p.set_defaults(func=cmd_eval)
 
@@ -417,18 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=4)
     p.add_argument("--patches", type=int, default=2)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--refine-hidden", type=int, default=8)
-    p.add_argument("--embed-dim", type=int, default=12)
-    p.add_argument("--code-dim", type=int, default=6)
-    p.add_argument("--omega", default="2")
-    p.add_argument("--lambda", dest="qc_weight", type=float, default=0.1)
+    _add_model_flags(p)
     p.add_argument("--ways", type=int, default=2)
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, refine_hidden=8, embed_dim=12, code_dim=6)
 
     p = sub.add_parser("tuples", help="tuple counts per cardinality")
     p.add_argument("--frames", type=int, required=True)

@@ -268,8 +268,10 @@ def save_dataset(dataset: Dataset, root: str | Path) -> Path:
     root/manifest.tsv, whose path is returned. Every clip, clip id and
     manifest line is checked, with save_clip's and write_manifest's refusals,
     before any file is written, so a refused set leaves `root` as it was; a
-    write that fails part way (a full disk) can still leave a mix. One clip's
-    payload is held at a time."""
+    write that fails part way (a full disk) can still leave a mix. Once the
+    manifest is written, each `*.stfb` directly under root/clips that it does
+    not list is removed, so clips/ holds exactly the set. One clip's payload
+    is held at a time."""
     root = Path(root)
     manifest = root / "manifest.tsv"
     rows = [(f"clips/{c.clip_id}.stfb", c.label) for c in dataset.clips]
@@ -282,6 +284,10 @@ def save_dataset(dataset: Dataset, root: str | Path) -> Path:
     for c, (rel, _) in zip(dataset.clips, rows):
         save_clip(c, root / rel)
     write_atomic(manifest, listing)
+    named = {f"{c.clip_id}.stfb" for c in dataset.clips}
+    for stale in (root / "clips").glob("*.stfb"):
+        if stale.name not in named:
+            stale.unlink()
     return manifest
 
 

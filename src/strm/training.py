@@ -262,7 +262,7 @@ def train(
         window_tm.append(result.loss_tm)
         window_qc.append(result.loss_qc)
         pending += 1
-        if pending == train_config.accumulate_every:
+        if pending == train_config.accumulate_every or i + 1 == train_config.episodes:
             sgd_step(plist, train_config.learning_rate, pending)
             pending = 0
         if (i + 1) % train_config.eval_every == 0 or i + 1 == train_config.episodes:
@@ -277,8 +277,6 @@ def train(
             window_qc.clear()
             if progress is not None:
                 progress(row)
-    if pending:
-        sgd_step(plist, train_config.learning_rate, pending)
     return params, metrics
 
 

@@ -36,9 +36,10 @@ def test_a_tiny_table_prints_every_cell_once_per_thread_count():
 
 
 def test_a_cell_counts_the_scaled_steps_and_restores_training(monkeypatch):
-    """With the cap below every norm, each step is counted as scaled; the
-    logging wrappers are gone afterwards, and the closing loss is the mean
-    over the last episodes."""
+    """With the cap below every norm, each step of every variant is counted
+    as scaled; each variant's cell closes over its own steps and forward
+    passes, the logging wrappers are gone afterwards, and the closing loss is
+    the mean over the variant's last episodes."""
     tool = load_tool()
     sgd_step, forward_episode = training.sgd_step, training.forward_episode
     monkeypatch.setattr(training, "MAX_GRAD_NORM", 1e-9)
@@ -49,7 +50,7 @@ def test_a_cell_counts_the_scaled_steps_and_restores_training(monkeypatch):
                                             patches=4, channels=8, seed=0))
     config = ModelConfig(frames=4, patches=4, channels=8, refine_hidden=4, embed_dim=6,
                          code_dim=4, seed=0)
-    losses = []
+    losses, cells = [], []
 
     def logged(*args):
         result = forward_episode(*args)
@@ -57,7 +58,10 @@ def test_a_cell_counts_the_scaled_steps_and_restores_training(monkeypatch):
         return result
 
     monkeypatch.setattr(training, "forward_episode", logged)
-    accuracy, norm, episode, scaled, closing = tool.cell((data, data), config, 3, 2)
-    assert scaled == 3 and norm > 1e-9 and 1 <= episode <= 3 and 0.0 <= accuracy <= 1.0
-    assert len(losses) == 3 and closing == sum(losses[-2:]) / 2
+    tool.ablate((data, data), config, 3, 2, lambda name, cell: cells.append((name, cell)))
+    assert [name for name, _ in cells] == [name for name, *_ in training.ABLATION_VARIANTS]
+    assert len(losses) == 3 * len(cells)
+    for k, (_, (accuracy, norm, episode, scaled, closing)) in enumerate(cells):
+        assert scaled == 3 and norm > 1e-9 and 1 <= episode <= 3 and 0.0 <= accuracy <= 1.0
+        assert closing == sum(losses[3 * k + 1:3 * k + 3]) / 2
     assert training.sgd_step is sgd_step and training.forward_episode is logged

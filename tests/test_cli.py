@@ -14,9 +14,10 @@ import pytest
 from strm import cli
 from strm.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from strm.diffcore import NumericalError, Tensor
-from strm.episodes import ClipRecord, FeatureClip, load_clip, save_clip
+from strm.episodes import ClipRecord, EpisodeSpec, FeatureClip, SyntheticSpec, load_clip, \
+    save_clip
 from strm.model import ModelConfig, build_params
-from strm.training import save_checkpoint
+from strm.training import TrainConfig, save_checkpoint
 
 
 def run(argv):
@@ -162,13 +163,16 @@ PARSER_SURFACE = {
 }
 
 
-def _parser_surface() -> dict:
+def _parser_subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parser_surface() -> dict:
     return {name: {" ".join(a.option_strings): (a.dest, a.default, a.type, a.required)
                    for a in sp._actions if not isinstance(a, argparse._HelpAction)}
-            for name, sp in sub.choices.items()}
+            for name, sp in _parser_subcommands().items()}
 
 
 def test_parser_surface_is_pinned():
@@ -176,6 +180,46 @@ def test_parser_surface_is_pinned():
     assert list(surface) == list(PARSER_SURFACE)
     for name, options in PARSER_SURFACE.items():
         assert surface[name] == options, name
+
+
+MODEL_DEFAULTS = [("refine_hidden", "refine_hidden"), ("embed_dim", "embed_dim"),
+                  ("code_dim", "code_dim"), ("omega", "omegas"), ("qc_weight", "qc_weight")]
+TUPLE_DEFAULTS = [("keep_ratio", "tuple_keep_ratio"), ("tuple_seed", "tuple_seed")]
+EPISODE_DEFAULTS = [("ways", "ways"), ("shots", "shots"), ("queries", "queries_per_class")]
+OPTIMIZER_DEFAULTS = [("episodes", "episodes"), ("lr", "learning_rate"),
+                      ("accumulate_every", "accumulate_every")]
+# (command, dest, library class, field) for every flag whose default mirrors a field
+LIBRARY_DEFAULTS = [
+    *(("synth", dest, SyntheticSpec, field) for dest, field in [
+        ("classes", "num_classes"), ("clips", "clips_per_class"), ("frames", "frames"),
+        ("patches", "patches"), ("dim", "channels"), ("motif_strength", "motif_strength"),
+        ("noise_sigma", "noise_sigma"), ("seed", "seed")]),
+    *((command, dest, owner, field) for command in ("train", "ablate")
+      for owner, pairs in [(ModelConfig, MODEL_DEFAULTS + TUPLE_DEFAULTS + [("seed", "seed")]),
+                           (TrainConfig, OPTIMIZER_DEFAULTS), (EpisodeSpec, EPISODE_DEFAULTS)]
+      for dest, field in pairs),
+    ("train", "eval_every", TrainConfig, "eval_every"),
+    ("train", "eval_episodes", TrainConfig, "eval_episodes"),
+    *(("eval", dest, EpisodeSpec, field) for dest, field in EPISODE_DEFAULTS),
+    *(("eval", dest, ModelConfig, field) for dest, field in TUPLE_DEFAULTS),
+    ("gradcheck", "omega", ModelConfig, "omegas"),
+    ("gradcheck", "qc_weight", ModelConfig, "qc_weight"),
+    ("gradcheck", "seed", ModelConfig, "seed"),
+]
+
+
+@pytest.mark.parametrize("command,dest,owner,field", LIBRARY_DEFAULTS,
+                         ids=[f"{c}-{d}" for c, d, *_ in LIBRARY_DEFAULTS])
+def test_a_cli_default_is_the_library_default_it_mirrors(command, dest, owner, field):
+    """The flag's default is the library field's (synth's --patches squared,
+    --omega parsed), so a default changed in the library reaches the CLI."""
+    default = next(a.default for a in _parser_subcommands()[command]._actions
+                   if a.dest == dest)
+    if dest == "omega":
+        default = cli._parse_omegas(default)
+    elif (command, dest) == ("synth", "patches"):
+        default = default * default
+    assert default == getattr(owner(), field)
 
 
 # -- synth ------------------------------------------------------------------------
@@ -235,6 +279,22 @@ def test_a_refused_synth_leaves_the_earlier_set_as_it_was(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"strm: {out}/clips/class000_clip026.stfb: value ")
     assert tree_digest(out) == before
+
+
+def test_a_smaller_synth_over_a_larger_set_leaves_exactly_its_clips(tmp_path):
+    """Synth of 6 clips over an earlier set of 10 removes the 4 clip files the
+    new manifest does not list, and leaves any other file in place."""
+    out = tmp_path / "ds"
+    flags = ["synth", "--out", str(out), "--classes", "2", "--frames", "2",
+             "--patches", "1", "--dim", "4", "--seed", "1", "--clips"]
+    assert run(flags + ["5"]) == EXIT_OK
+    (out / "clips" / "notes.txt").write_text("kept\n")
+    assert run(flags + ["3"]) == EXIT_OK
+    listed = sorted(line.split("\t")[0] for line in
+                    (out / "manifest.tsv").read_text().splitlines())
+    assert len(listed) == 6
+    assert sorted(f"clips/{p.name}" for p in (out / "clips").glob("*.stfb")) == listed
+    assert (out / "clips" / "notes.txt").read_text() == "kept\n"
 
 
 def test_synth_rejects_single_frame(tmp_path):
@@ -363,6 +423,62 @@ def test_eval_reports_accuracy(tiny_data, tiny_checkpoint, capsys, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["accuracy"] <= 1.0
     assert report["episodes"] == 10
+
+
+def spy_on(monkeypatch, name: str, configs: list):
+    """Replace cli.<name> by a wrapper that appends its ModelConfig argument."""
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        configs.append(next(a for a in (*args, *kwargs.values())
+                            if isinstance(a, ModelConfig)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+
+
+def test_the_manifest_model_record_rebuilds_the_config_that_ran(tmp_path, tiny_data,
+                                                                 monkeypatch):
+    """Train's record rebuilds the ModelConfig train received; eval's holds
+    the checkpoint's ω and toggles with the flags' tuple subsampling."""
+    configs = []
+    spy_on(monkeypatch, "train", configs)
+    spy_on(monkeypatch, "evaluate", configs)
+    out = tmp_path / "t"
+    assert run(["train", "--data", str(tiny_data), "--out", str(out), "--episodes", "2",
+                "--eval-every", "2", "--eval-episodes", "2", "--ways", "2", "--shots", "1",
+                "--refine-hidden", "4", "--embed-dim", "6", "--code-dim", "4",
+                "--omega", "2,3", "--keep-ratio", "0.5", "--tuple-seed", "3",
+                "--no-fle"]) == EXIT_OK
+    record = json.loads((out / "run_manifest.json").read_text())["model"]
+    assert ModelConfig(**record) == configs[0]
+    assert (record["omegas"], record["use_fle"], record["tuple_keep_ratio"],
+            record["tuple_seed"]) == ([2, 3], False, 0.5, 3)
+    configs.clear()
+    assert run(["eval", "--data", str(tiny_data), "--checkpoint", str(out / "checkpoint.stck"),
+                "--episodes", "2", "--ways", "2", "--shots", "1", "--keep-ratio", "0.5",
+                "--tuple-seed", "3", "--out", str(tmp_path / "e")]) == EXIT_OK
+    evaluated = json.loads((tmp_path / "e" / "run_manifest.json").read_text())["model"]
+    assert ModelConfig(**evaluated) == configs[0]
+    assert (evaluated["omegas"], evaluated["use_ple"], evaluated["use_fle"],
+            evaluated["use_qc"], evaluated["tuple_keep_ratio"],
+            evaluated["tuple_seed"]) == ([2, 3], True, False, True, 0.5, 3)
+
+
+@pytest.mark.parametrize("command,callee", [("ablate", "run_ablation"),
+                                            ("gradcheck", "gradcheck_model")])
+def test_ablate_and_gradcheck_manifests_record_their_model(tmp_path, tiny_data,
+                                                           monkeypatch, command, callee):
+    configs = []
+    spy_on(monkeypatch, callee, configs)
+    out = tmp_path / command
+    argv = (["ablate", "--data", str(tiny_data), "--episodes", "1", "--eval-episodes", "1",
+             "--ways", "2", "--shots", "1", "--refine-hidden", "4", "--embed-dim", "6",
+             "--code-dim", "4", "--lambda", "0.5", "--no-qc"] if command == "ablate"
+            else ["gradcheck", "--lambda", "0"])
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    record = json.loads((out / "run_manifest.json").read_text())["model"]
+    assert ModelConfig(**record) == configs[0]
 
 
 @pytest.mark.parametrize("command", ["eval", "gradcheck"])

@@ -291,6 +291,25 @@ def test_training_deterministic_logs():
         assert np.array_equal(params_a[name], params_b[name])
 
 
+def test_the_last_metrics_row_scores_the_returned_parameters(monkeypatch):
+    """With --accumulate-every not dividing --episodes, the trailing partial
+    step is taken before the final evaluation, so the last row scores the
+    weights train returns (and a checkpoint would hold)."""
+    seen = []
+
+    def spy(ds, params, *args):
+        seen.append({p.name: p.value.data.copy() for p in params.all()})
+        return evaluate(ds, params, *args)
+
+    monkeypatch.setattr(training, "evaluate", spy)
+    tc = TrainConfig(episodes=3, accumulate_every=2, eval_every=3, eval_episodes=2)
+    params, metrics = train(tiny_dataset(), ModelConfig(seed=0, **TINY), tc,
+                            EpisodeSpec(ways=2, shots=1, seed=0))
+    assert len(seen) == len(metrics) == 1
+    for p in params.all():
+        assert np.array_equal(seen[-1][p.name], p.value.data), p.name
+
+
 def test_loss_finite_and_nonnegative_throughout():
     ds = tiny_dataset()
     cfg = ModelConfig(seed=0, **TINY)

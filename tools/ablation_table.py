@@ -6,9 +6,10 @@ Prints a TSV with one row per cell (BLAS threads, model seed, variant):
 - how many steps the norm guard (training.MAX_GRAD_NORM) scaled;
 - the mean joint loss over the last 100 training episodes.
 
-Each cell trains acceptance 06's desk model (5-way 5-shot, lr 0.1, episode
-seed 0) with the variant's stages on labels 0-9 of SyntheticSpec(seed=1),
-then evaluates it on labels 10-14 at eval seed 777.
+Each seed runs training.run_ablation once: each variant trains acceptance
+06's desk model (5-way 5-shot, lr 0.1, episode seed 0) with its stages on
+labels 0-9 of SyntheticSpec(seed=1), then is evaluated on labels 10-14 at
+eval seed 777.
 
     python tools/ablation_table.py                        # seeds 0-4, threads 1 and 2
     python tools/ablation_table.py --seeds 0 --threads 2  # one row of acceptance 07
@@ -24,7 +25,6 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -42,10 +42,10 @@ HEADER = ("threads", "seed", "variant", "accuracy", "max_grad_norm", "max_norm_e
           "scaled_steps", "last100_loss")
 
 
-def cell(task, config: ModelConfig, episodes: int, eval_episodes: int) -> tuple:
-    """(accuracy, max norm, its episode, scaled steps, closing loss) of one
-    config, trained by training.train with its SGD steps and forward passes
-    logged."""
+def ablate(task, config: ModelConfig, episodes: int, eval_episodes: int, emit) -> None:
+    """Run training.run_ablation from `config` with its SGD steps and forward
+    passes logged, calling emit(variant, cell) as each variant closes; a cell
+    is (accuracy, max norm, its episode, scaled steps, closing loss)."""
     train_ds, test_ds = task
     norms, losses = [], []
     sgd_step, forward_episode = training.sgd_step, training.forward_episode
@@ -59,31 +59,35 @@ def cell(task, config: ModelConfig, episodes: int, eval_episodes: int) -> tuple:
         losses.append(result.loss.item())
         return result
 
+    def close(name, report):
+        peak = max(range(len(norms)), key=norms.__getitem__)
+        closing = losses[-LAST:]
+        emit(name, (report.accuracy, norms[peak], peak + 1,
+                    sum(norm > training.MAX_GRAD_NORM for norm in norms),
+                    sum(closing) / len(closing)))
+        norms.clear()
+        losses.clear()
+
     training.sgd_step, training.forward_episode = logged_step, logged_forward
     try:
-        params, _ = training.train(
-            train_ds, config, training.TrainConfig(episodes=episodes, learning_rate=LEARNING_RATE,
-                                                   eval_every=episodes, eval_episodes=10),
-            TRAIN_SPEC, eval_dataset=test_ds)
+        training.run_ablation(
+            train_ds, test_ds, config,
+            training.TrainConfig(episodes=episodes, learning_rate=LEARNING_RATE,
+                                 eval_every=episodes, eval_episodes=10),
+            TRAIN_SPEC, EVAL_SPEC, eval_episodes, progress=close)
     finally:
         training.sgd_step, training.forward_episode = sgd_step, forward_episode
-    report = training.evaluate(test_ds, params, config, EVAL_SPEC, eval_episodes)
-    peak = max(range(len(norms)), key=norms.__getitem__)
-    closing = losses[-LAST:]
-    return (report.accuracy, norms[peak], peak + 1,
-            sum(norm > training.MAX_GRAD_NORM for norm in norms), sum(closing) / len(closing))
 
 
-def sweep(seeds: list[int], episodes: int, eval_episodes: int):
-    """Yield (seed, variant, cell) for every model seed and ablation variant,
-    at this process's BLAS threads."""
+def sweep(threads: int, seeds: list[int], episodes: int, eval_episodes: int) -> None:
+    """Print the row of every model seed and ablation variant; `threads` is
+    this process's OPENBLAS_NUM_THREADS."""
     dataset = generate_synthetic(SyntheticSpec(seed=1))
     task = (filter_labels(dataset, range(10)), filter_labels(dataset, range(10, 15)))
     for seed in seeds:
-        for name, use_ple, use_fle, use_qc in training.ABLATION_VARIANTS:
-            config = replace(ModelConfig(seed=seed), use_ple=use_ple, use_fle=use_fle,
-                             use_qc=use_qc)
-            yield seed, name, cell(task, config, episodes, eval_episodes)
+        ablate(task, ModelConfig(seed=seed), episodes, eval_episodes,
+               lambda name, values: print(format_row(threads, seed, name, values),
+                                          flush=True))
 
 
 def format_row(threads, seed, name, values) -> str:
@@ -111,8 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.episodes < 1 or args.eval_episodes < 1:
         parser.error("--episodes and --eval-episodes must be positive")
     if args.worker is not None:
-        for seed, name, values in sweep(args.seeds, args.episodes, args.eval_episodes):
-            print(format_row(args.worker, seed, name, values), flush=True)
+        sweep(args.worker, args.seeds, args.episodes, args.eval_episodes)
         return 0
     print("\t".join(HEADER), flush=True)
     for threads in args.threads:

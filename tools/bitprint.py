@@ -36,7 +36,7 @@ from strm.enrichment import ple_patch_diagnostics  # noqa: E402
 from strm.episodes import (EpisodeSpec, SyntheticSpec, generate_synthetic,  # noqa: E402
                            load_dataset, sample_episode, save_dataset)
 from strm.model import ModelConfig, build_params, forward_episode  # noqa: E402
-from strm.training import evaluate, mean_pool_baseline, sgd_step  # noqa: E402
+from strm.training import TrainConfig, evaluate, mean_pool_baseline, sgd_step  # noqa: E402
 
 THREADS = (1, 2)
 CONFIGS = {
@@ -50,7 +50,7 @@ STAGES = {
     "all-off": dict(use_ple=False, use_fle=False, use_qc=False),
     "ple+qc": dict(use_ple=True, use_fle=False, use_qc=True),
 }
-LEARNING_RATE = 0.1  # strm train's default
+LEARNING_RATE = TrainConfig.learning_rate  # strm train's default
 TRAIN_SPEC = EpisodeSpec(ways=5, shots=5, queries_per_class=1, seed=0)
 EVAL_SPEC = EpisodeSpec(ways=5, shots=5, queries_per_class=1, seed=1)
 
